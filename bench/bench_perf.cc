@@ -15,6 +15,7 @@
 #include "kernel/device_batch.h"
 #include "kernel/dispatch.h"
 #include "obs/obs.h"
+#include "opt/cvs.h"
 #include "opt/dual_vth.h"
 #include "opt/sizing.h"
 #include "powergrid/grid_model.h"
@@ -114,6 +115,29 @@ void BM_Sizing(benchmark::State& state) {
   state.counters["gates_resized"] = resized;
 }
 BENCHMARK(BM_Sizing)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+// Clustered voltage scaling end to end (items = gates/s): every candidate
+// is verified on the converter-aware incremental engine in O(cone), so the
+// 100k point (scale profile, as in BM_IncrementalSta) is reachable.
+void BM_Cvs(benchmark::State& state) {
+  const int size = static_cast<int>(state.range(0));
+  const circuit::Netlist nl =
+      size >= 100000 ? makeScaledNetlist(size) : makeNetlist(size);
+  opt::CvsResult r;
+  for (auto _ : state) {
+    r = opt::runCvs(nl, lib100());
+    benchmark::DoNotOptimize(r.convertersAdded);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["fraction_low_vdd"] = r.fractionLowVdd;
+  state.counters["lanes"] = exec::threadCount();
+}
+BENCHMARK(BM_Cvs)
+    ->Arg(2000)
+    ->Arg(16000)
+    ->Arg(100000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // The incremental engine alone: one committed swap + one rolled-back swap
 // per iteration on a large netlist (items = swaps/s). The repropagated

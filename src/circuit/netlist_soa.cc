@@ -1,5 +1,6 @@
 #include "circuit/netlist_soa.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -38,6 +39,7 @@ void NetlistSoA::rebuild(const Netlist& netlist, BuildOptions options) {
   inputCap_ = arena_.allocateArray<double>(nodeCount_);
   outputs_ = arena_.allocateArray<std::uint32_t>(outputCount_);
   levelOf_ = arena_.allocateArray<std::uint32_t>(nodeCount_);
+  converterCap_ = nullptr;
 
   // Pass 1: offsets and per-node scalars.
   std::uint64_t faninEdges = 0;
@@ -132,16 +134,49 @@ void NetlistSoA::setCell(std::uint32_t gate, const Cell& cell) {
   selfCap_[gate] = cell.selfCap;
   inputCap_[gate] = cell.inputCap;
   if (keepCells_) cells_[gate] = cell;
-  // Refresh each fanin driver's load with Netlist::refreshLoadCap's exact
-  // summation order (fanout edge order, then wire, then external load).
-  for (const std::uint32_t f : fanins(gate)) {
-    double cap = 0.0;
-    const auto consumers = fanouts(f);
-    for (const std::uint32_t c : consumers) cap += inputCap_[c];
-    cap += wireCapPerFanout_ * static_cast<double>(consumers.size());
-    if (isOutput_[f] != 0) cap += outputLoadCap_;
-    loadCap_[f] = cap;
+  for (const std::uint32_t f : fanins(gate)) refreshLoadCap(f);
+}
+
+void NetlistSoA::setEndpointConverter(std::uint32_t id,
+                                      double converterInputCap) {
+  if (id >= nodeCount_ || isGate_[id] == 0 || isOutput_[id] == 0) {
+    throw std::invalid_argument(
+        "NetlistSoA::setEndpointConverter: not an output gate");
   }
+  if (!(converterInputCap >= 0.0)) {
+    throw std::invalid_argument(
+        "NetlistSoA::setEndpointConverter: negative input cap");
+  }
+  if (converterCap_ == nullptr) {
+    converterCap_ = arena_.allocateArray<double>(nodeCount_);
+    std::fill(converterCap_, converterCap_ + nodeCount_, -1.0);
+  }
+  converterCap_[id] = converterInputCap;
+  refreshLoadCap(id);
+}
+
+void NetlistSoA::clearEndpointConverter(std::uint32_t id) {
+  if (!hasEndpointConverter(id)) return;
+  converterCap_[id] = -1.0;
+  refreshLoadCap(id);
+}
+
+void NetlistSoA::refreshLoadCap(std::uint32_t id) {
+  // Netlist::refreshLoadCap's exact summation order (fanout edge order,
+  // then wire, then external load). An endpoint converter is the node's
+  // last fanout in the converted netlist and takes over the external load.
+  double cap = 0.0;
+  const auto consumers = fanouts(id);
+  for (const std::uint32_t c : consumers) cap += inputCap_[c];
+  std::size_t pins = consumers.size();
+  const bool converted = hasEndpointConverter(id);
+  if (converted) {
+    cap += converterCap_[id];
+    ++pins;
+  }
+  cap += wireCapPerFanout_ * static_cast<double>(pins);
+  if (isOutput_[id] != 0 && !converted) cap += outputLoadCap_;
+  loadCap_[id] = cap;
 }
 
 Netlist NetlistSoA::toNetlist() const {

@@ -110,6 +110,18 @@ class NetlistSoA {
   /// summation order, so both representations stay bit-identical.
   void setCell(std::uint32_t gate, const Cell& cell);
 
+  /// Load-cap hook for a level converter at output gate `id` (used by the
+  /// converter-aware sta::IncrementalSta). While set, `id`'s load is the
+  /// one its driver gets when opt::insertLevelConverters puts an output
+  /// converter behind it: fanout input caps in edge order, then
+  /// `converterInputCap`, then wire per fanout counting the converter,
+  /// and no external output load (the converter drives that instead).
+  void setEndpointConverter(std::uint32_t id, double converterInputCap);
+  void clearEndpointConverter(std::uint32_t id);
+  [[nodiscard]] bool hasEndpointConverter(std::uint32_t id) const {
+    return converterCap_ != nullptr && converterCap_[id] >= 0.0;
+  }
+
   /// Reconstruct an object netlist (requires keepCells). Node ids, edge
   /// order and output order are preserved, so writeNetlist() output is
   /// byte-identical to the source netlist's.
@@ -147,6 +159,13 @@ class NetlistSoA {
   std::uint32_t* levelOf_ = nullptr;
   std::uint32_t* levelOffsets_ = nullptr;
   std::uint32_t* order_ = nullptr;
+
+  /// Endpoint-converter input cap per node, < 0 where none; allocated on
+  /// the first setEndpointConverter.
+  double* converterCap_ = nullptr;
+
+  /// Recompute the load-cap cache of `id` from its fanouts.
+  void refreshLoadCap(std::uint32_t id);
 
   std::vector<Cell> cells_;  ///< cold; empty unless keepCells
 };

@@ -3,6 +3,16 @@
 // electrical rule that a Vdd,l gate never drives a Vdd,h gate directly —
 // low-Vdd gates cluster into cones feeding the outputs, with level
 // conversion at the register boundary.
+//
+// Gates are visited in reverse topological order. A gate whose fanouts are
+// all at Vdd,l is a candidate; a cheap slack prune on the unconverted
+// timing drops most of the rest, and each survivor is verified exactly on
+// a converter-aware sta::IncrementalSta: the timing of the netlist as
+// insertLevelConverters would convert it, where lowering an output gate
+// sets its output converter in the same trial. A trial therefore costs
+// O(cone), and the result is bit-identical to converting and re-timing
+// the whole netlist per candidate (the pre-incremental algorithm, kept in
+// the tests as the reference).
 #pragma once
 
 #include "circuit/library.h"
@@ -42,8 +52,11 @@ struct CvsResult {
   }
 };
 
-/// Run CVS on `netlist` (all gates assumed Vdd,h on entry). `freq` is the
-/// clock used for power reporting; defaults to 1/clockPeriod.
+/// Run CVS on `netlist`. `freq` is the clock used for power reporting;
+/// defaults to 1/clockPeriod. Input may already hold Vdd,l gates and level
+/// converters (a CVS result can be run again), but no Vdd,l gate may drive
+/// a Vdd,h gate that is not a converter: std::invalid_argument names the
+/// first such gate (Netlist::vddViolations).
 CvsResult runCvs(const circuit::Netlist& netlist,
                  const circuit::Library& library, const CvsOptions& options = {},
                  double freq = -1.0);

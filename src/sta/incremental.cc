@@ -5,15 +5,35 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.h"
 
 namespace nano::sta {
 
+using circuit::CellFunction;
 using circuit::Netlist;
+using circuit::VddDomain;
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Endpoint check tolerance, meetsTiming()'s default.
+constexpr double kTolerance = 1e-15;
+
+/// A gate carrying `cell` at Vdd,l needs conversion before a Vdd,h sink
+/// or an output (converters themselves never do).
+bool isLowLogic(const circuit::Cell& cell) {
+  return cell.vddDomain == VddDomain::Low &&
+         cell.function != CellFunction::LevelConverter;
+}
+
+[[noreturn]] void throwCrossing(const char* who, int driver) {
+  std::string msg = who;
+  msg += ": Vdd,l gate ";
+  msg += std::to_string(driver);
+  msg += " drives a Vdd,h gate without a level converter";
+  throw std::invalid_argument(msg);
+}
 }  // namespace
 
 IncrementalSta::IncrementalSta(Netlist& netlist, double clockPeriod,
@@ -48,10 +68,46 @@ void IncrementalSta::rebuild() {
   if (pending_) {
     throw std::logic_error("IncrementalSta::rebuild: trial pending");
   }
+  if (converters_) requireNoViolations();
   soa_.rebuild(*netlist_, {.keepCells = false});
   TimingResult r = analyze(soa_, clock_ > 0 ? clock_ : -1.0);
   clock_ = r.clockPeriod;  // resolved to the critical delay when <= 0
   bindState(std::move(r.arrival), std::move(r.required), std::move(r.slack));
+  if (converters_) applyDueConverters();
+}
+
+void IncrementalSta::enableEndpointConverters(const circuit::Cell& converter) {
+  if (pending_) {
+    throw std::logic_error(
+        "IncrementalSta::enableEndpointConverters: trial pending");
+  }
+  if (converters_) {
+    throw std::logic_error(
+        "IncrementalSta::enableEndpointConverters: already enabled");
+  }
+  requireNoViolations();
+  converters_ = true;
+  converterInputCap_ = converter.inputCap;
+  // The converter drives one output load and nothing else, so its load
+  // cache in the converted netlist is exactly outputLoadCap.
+  converterDelay_ = converter.delay(netlist_->outputLoadCap());
+  failing_ = countFailing();  // converter outputs now get their allowance
+  applyDueConverters();
+}
+
+void IncrementalSta::requireNoViolations() const {
+  const std::vector<int> bad = netlist_->vddViolations();
+  if (!bad.empty()) throwCrossing("IncrementalSta", bad.front());
+}
+
+void IncrementalSta::applyDueConverters() {
+  for (const std::uint32_t o : soa_.outputs()) {
+    if (!soa_.isGate(o) || soa_.hasEndpointConverter(o)) continue;
+    const circuit::Cell& cell = netlist_->node(static_cast<int>(o)).cell;
+    if (!isLowLogic(cell)) continue;
+    trial(static_cast<int>(o), cell);
+    commit();
+  }
 }
 
 void IncrementalSta::bindState(std::vector<double> arrival,
@@ -68,6 +124,36 @@ void IncrementalSta::bindState(std::vector<double> arrival,
   journal_.clear();
   pending_ = false;
   pendingGate_ = -1;
+  failing_ = countFailing();
+}
+
+int IncrementalSta::countFailing() const {
+  int failing = 0;
+  for (const std::uint32_t o : soa_.outputs()) {
+    if (endpointFails(static_cast<int>(o), arrival_[o], slack_[o],
+                      soa_.hasEndpointConverter(o))) {
+      ++failing;
+    }
+  }
+  return failing;
+}
+
+bool IncrementalSta::endpointFails(int id, double arrival, double slack,
+                                   bool converted) const {
+  if (converted) {
+    // The converter C is the endpoint: analyze's clamped arrival of its
+    // one fanin plus d_LC, required at the clock, one d_LC of allowance.
+    double worst = 0.0;
+    if (arrival >= worst) worst = arrival;
+    return clock_ - (worst + converterDelay_) <
+           -converterDelay_ - kTolerance;
+  }
+  const auto u = static_cast<std::uint32_t>(id);
+  const bool capture = converters_ && soa_.isGate(u) &&
+                       netlist_->node(id).cell.function ==
+                           CellFunction::LevelConverter;
+  const double allowance = capture ? converterDelay_ : 0.0;
+  return slack < -allowance - kTolerance;
 }
 
 double IncrementalSta::recomputeArrival(int id) const {
@@ -84,10 +170,13 @@ double IncrementalSta::recomputeArrival(int id) const {
 
 double IncrementalSta::recomputeRequired(int id) const {
   const auto u = static_cast<std::uint32_t>(id);
-  double req = soa_.isOutput(u) ? clock_ : kInf;
+  const bool converted = soa_.hasEndpointConverter(u);
+  double req = soa_.isOutput(u) && !converted ? clock_ : kInf;
   for (const std::uint32_t fo : soa_.fanouts(u)) {
     req = std::min(req, required_[fo] - soa_.gateDelay(fo));
   }
+  // The endpoint converter is the last fanout, required at the clock.
+  if (converted) req = std::min(req, clock_ - converterDelay_);
   return req;
 }
 
@@ -117,9 +206,24 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
   if (node.kind != Netlist::NodeKind::Gate) {
     throw std::invalid_argument("IncrementalSta::trial: not a gate");
   }
+  const auto g = static_cast<std::uint32_t>(gate);
+  bool toggle = false;
+  if (converters_) {
+    checkDomains(gate, cell);
+    toggle = soa_.isOutput(g) &&
+             isLowLogic(cell) != soa_.hasEndpointConverter(g);
+  }
+
+  // Object netlist first (replaceCell validates the swap and throws
+  // before mutating), then the mirror — both refresh the fanin load caps
+  // with the same summation order, so they stay bit-identical.
+  savedCell_ = node.cell;
+  netlist_->replaceCell(gate, cell);
+  soa_.setCell(g, cell);
   pending_ = true;
   pendingGate_ = gate;
-  savedCell_ = node.cell;
+  converterToggled_ = toggle;
+  failingBefore_ = failing_;
   ++epoch_;
   if (epoch_ == 0) {  // epoch wrapped: stale marks could collide
     std::fill(mark_.begin(), mark_.end(), 0u);
@@ -129,26 +233,54 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
 
   // Delay changes at the swapped gate and at its fanin drivers, whose
   // load includes the swapped cell's input cap.
-  const auto g = static_cast<std::uint32_t>(gate);
-  std::vector<int> delayChanged;
-  delayChanged.reserve(soa_.fanins(g).size() + 1);
+  delayChanged_.clear();
   for (const std::uint32_t f : soa_.fanins(g)) {
-    if (soa_.isGate(f)) delayChanged.push_back(static_cast<int>(f));
+    if (soa_.isGate(f)) delayChanged_.push_back(static_cast<int>(f));
   }
-  delayChanged.push_back(gate);
+  delayChanged_.push_back(gate);
 
-  // Object netlist first (replaceCell validates the swap and throws
-  // before mutating), then the mirror — both refresh the fanin load caps
-  // with the same summation order, so they stay bit-identical.
-  netlist_->replaceCell(gate, cell);
-  soa_.setCell(g, cell);
+  // A converter set or cleared at the gate changes its own load and its
+  // required seed; journal it even if no value ends up moving, so the
+  // endpoint check is redone.
+  if (toggle) {
+    save(gate);
+    setConverter(g, !soa_.hasEndpointConverter(g));
+  }
   const std::int64_t before = repropagated_;
-  propagateDelayChange(delayChanged);
+  propagateDelayChange(toggle ? gate : -1);
   NANO_OBS_COUNT("sta/incremental_trials", 1);
   NANO_OBS_COUNT("sta/incremental_nodes_repropagated", repropagated_ - before);
 }
 
-void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) {
+void IncrementalSta::checkDomains(int gate, const circuit::Cell& cell) const {
+  const auto& node = netlist_->node(gate);
+  if (isLowLogic(cell)) {
+    for (int fo : node.fanouts) {
+      const auto& sink = netlist_->node(fo).cell;
+      if (sink.vddDomain == VddDomain::High &&
+          sink.function != CellFunction::LevelConverter) {
+        throwCrossing("IncrementalSta::trial", gate);
+      }
+    }
+  } else if (cell.function != CellFunction::LevelConverter) {
+    for (int f : node.fanins) {
+      const auto& driver = netlist_->node(f);
+      if (driver.kind == Netlist::NodeKind::Gate && isLowLogic(driver.cell)) {
+        throwCrossing("IncrementalSta::trial", f);
+      }
+    }
+  }
+}
+
+void IncrementalSta::setConverter(std::uint32_t gate, bool on) {
+  if (on) {
+    soa_.setEndpointConverter(gate, converterInputCap_);
+  } else {
+    soa_.clearEndpointConverter(gate);
+  }
+}
+
+void IncrementalSta::propagateDelayChange(int requiredChanged) {
   auto bumpQueueEpoch = [&] {
     ++queueEpoch_;
     if (queueEpoch_ == 0) {
@@ -170,7 +302,7 @@ void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) 
     heap_.push_back(id);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<int>());
   };
-  for (int id : delayChanged) pushForward(id);
+  for (int id : delayChanged_) pushForward(id);
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<int>());
     const int id = heap_.back();
@@ -200,7 +332,8 @@ void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) 
     heap_.push_back(id);
     std::push_heap(heap_.begin(), heap_.end());
   };
-  for (int d : delayChanged) {
+  if (requiredChanged >= 0) pushBackward(requiredChanged);
+  for (int d : delayChanged_) {
     for (const std::uint32_t f : soa_.fanins(static_cast<std::uint32_t>(d))) {
       pushBackward(static_cast<int>(f));
     }
@@ -227,10 +360,19 @@ void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) 
   }
 
   // Slack changes exactly where arrival or required changed — the
-  // journaled set.
+  // journaled set — and so does the endpoint check.
   for (const Saved& s : journal_) {
     const auto i = static_cast<std::size_t>(s.id);
     slack_[i] = (required_[i] == kInf) ? clock_ : required_[i] - arrival_[i];
+    if (!soa_.isOutput(static_cast<std::uint32_t>(s.id))) continue;
+    const bool converted =
+        soa_.hasEndpointConverter(static_cast<std::uint32_t>(s.id));
+    const bool wasConverted =
+        converterToggled_ && s.id == pendingGate_ ? !converted : converted;
+    failing_ += static_cast<int>(
+                    endpointFails(s.id, arrival_[i], slack_[i], converted)) -
+                static_cast<int>(
+                    endpointFails(s.id, s.arrival, s.slack, wasConverted));
   }
 }
 
@@ -249,14 +391,17 @@ void IncrementalSta::rollback() {
   }
   // Restoring the cell also restores both load-cap caches (same recompute
   // path), so engine, mirror and netlist rewind together.
+  const auto g = static_cast<std::uint32_t>(pendingGate_);
   netlist_->replaceCell(pendingGate_, savedCell_);
-  soa_.setCell(static_cast<std::uint32_t>(pendingGate_), savedCell_);
+  soa_.setCell(g, savedCell_);
+  if (converterToggled_) setConverter(g, !soa_.hasEndpointConverter(g));
   for (const Saved& s : journal_) {
     const auto i = static_cast<std::size_t>(s.id);
     arrival_[i] = s.arrival;
     required_[i] = s.required;
     slack_[i] = s.slack;
   }
+  failing_ = failingBefore_;
   journal_.clear();
   pending_ = false;
   pendingGate_ = -1;

@@ -21,6 +21,27 @@
 // equality, so the engine's state is bit-identical to a fresh full
 // analysis at all times. The optimizers rely on this: porting them onto
 // trial()/commit()/rollback() changes their wall time, not their results.
+//
+// Endpoint level converters (enableEndpointConverters): the engine can
+// instead time the netlist as opt::insertLevelConverters(netlist, library,
+// true) would convert it, as long as no Vdd,l gate drives a Vdd,h gate
+// that is not a converter (checked; a trial that would break it throws).
+// Then the only converters are output converters, the converted netlist
+// keeps every node id, and an output gate g at Vdd,l differs from the
+// unconverted netlist in three places, all computed with analyze's
+// operations on the converted netlist:
+//   load      fanout input caps in edge order, then the converter's input
+//             cap, then wire x (fanouts + 1), and no external output load;
+//   required  min over the fanouts, then clock - d_LC (the converter C is
+//             g's last fanout; C itself is the endpoint, at the clock);
+//   check     C's slack clock - (arrival(g) + d_LC) against -d_LC: the
+//             level-converting capture stage absorbs one conversion
+//             latency. An output that is itself a converter gets the same
+//             allowance; any other output must have slack >= 0.
+// Setting or clearing a converter rides along with the cell swap that
+// moves g across domains, so it is journaled and rolled back with it, and
+// failingEndpoints() is kept over the touched set: a converter-aware
+// trial is verified in O(cone), not by converting and re-timing a copy.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +89,22 @@ class IncrementalSta {
     return worstSlack() >= -tolerance;
   }
 
+  /// Switch on the endpoint level-converter model (see the file comment)
+  /// with `converter` as the level-converter cell; every Vdd,l output gate
+  /// gets its converter now, one committed trial each. Per-node values
+  /// then describe each node of the converted netlist (converter nodes
+  /// have none of their own; worstSlack() and exportResult() still read
+  /// the original endpoints). Throws std::invalid_argument if some Vdd,l
+  /// gate drives a Vdd,h gate that is not a converter.
+  void enableEndpointConverters(const circuit::Cell& converter);
+  [[nodiscard]] bool hasEndpointConverter(int id) const {
+    return soa_.hasEndpointConverter(static_cast<std::uint32_t>(id));
+  }
+  /// Endpoints failing their check (slack below minus the allowance, less
+  /// 1e-15: the converter allowance above, 0 otherwise). Kept up to date
+  /// by every trial and rollback; O(1) to read.
+  [[nodiscard]] int failingEndpoints() const { return failing_; }
+
   /// Swap `gate`'s cell and repropagate the affected cones, journaling
   /// every touched value. Exactly one trial may be pending at a time.
   void trial(int gate, circuit::Cell cell);
@@ -100,11 +137,25 @@ class IncrementalSta {
  private:
   void bindState(std::vector<double> arrival, std::vector<double> required,
                  std::vector<double> slack);
-  void propagateDelayChange(const std::vector<int>& delayChanged);
+  void propagateDelayChange(int requiredChanged);
   /// Journal (id, arrival, required, slack) once per trial.
   void save(int id);
   [[nodiscard]] double recomputeArrival(int id) const;
   [[nodiscard]] double recomputeRequired(int id) const;
+  /// Throws if swapping `cell` in at `gate` would let a Vdd,l gate drive
+  /// a Vdd,h gate that is not a converter.
+  void checkDomains(int gate, const circuit::Cell& cell) const;
+  /// Endpoint check of output `id` given its arrival / slack and whether
+  /// it carries a converter.
+  [[nodiscard]] bool endpointFails(int id, double arrival, double slack,
+                                   bool converted) const;
+  [[nodiscard]] int countFailing() const;
+  void setConverter(std::uint32_t gate, bool on);
+  /// Throws std::invalid_argument naming the first Vdd,l gate that
+  /// drives a Vdd,h gate other than a converter.
+  void requireNoViolations() const;
+  /// Set the converter of every Vdd,l output gate that lacks one.
+  void applyDueConverters();
 
   circuit::Netlist* netlist_;
   circuit::NetlistSoA soa_;  ///< cell-less flat mirror, arena-backed
@@ -125,8 +176,17 @@ class IncrementalSta {
   bool pending_ = false;
   int pendingGate_ = -1;
   circuit::Cell savedCell_;
+  bool converterToggled_ = false;  ///< pending trial set/cleared one
+  int failingBefore_ = 0;          ///< failing_ when the trial began
+
+  // Endpoint level-converter model (off until enableEndpointConverters).
+  bool converters_ = false;
+  double converterInputCap_ = 0.0;
+  double converterDelay_ = 0.0;  ///< d_LC, driving one output load
+  int failing_ = 0;
 
   // Worklist scratch (kept allocated across trials).
+  std::vector<int> delayChanged_;
   std::vector<int> heap_;
   std::vector<std::uint32_t> queued_;  ///< == queueEpoch_ if in worklist
   std::uint32_t queueEpoch_ = 0;
