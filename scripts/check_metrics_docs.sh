@@ -8,13 +8,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 doc=docs/OBSERVABILITY.md
 
-# Literal registration sites: the NANO_OBS_* macros and direct registry
-# calls. Dynamically-built names (string concatenation) cannot be grepped;
-# they must be documented via a placeholder row.
+# Literal registration sites: the NANO_OBS_* macros, direct registry
+# calls, and the counter names handed to a util::Memo (its MemoNames
+# designated initializers, `.hits = "..."`). Dynamically-built names
+# (string concatenation) cannot be grepped; they must be documented via a
+# placeholder row.
 mapfile -t registered < <(
-  grep -rhoE 'NANO_OBS_(COUNT|GAUGE|TIMER|SPAN)\("[^"]+"|\.(counter|gauge|timer)\("[^"]+"' \
+  grep -rhoE 'NANO_OBS_(COUNT|GAUGE|TIMER|SPAN)\("[^"]+"|\.(counter|gauge|timer)\("[^"]+"|\.(hits|misses|evictions|joins) = "[^"]+"' \
     src tools |
-    sed -E 's/.*\("//; s/"$//' | sort -u
+    sed -E 's/^[^"]*"//; s/"$//' | sort -u
 )
 if [[ ${#registered[@]} -eq 0 ]]; then
   echo "check_metrics_docs: found no registered metrics under src/ -- broken grep?" >&2

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
-#include <tuple>
 
 #include "obs/obs.h"
+#include "util/memo.h"
 
 namespace nano::powergrid {
 
@@ -84,46 +83,38 @@ const MultigridHierarchy& GridModel::hierarchy() const {
 }
 
 namespace {
-using TopologyKey = std::tuple<int, int, int, int>;
+struct TopologyHash {
+  std::size_t operator()(const GridTopology& t) const {
+    return std::hash<int>{}(t.tilesX) ^ (std::hash<int>{}(t.tilesY) << 16) ^
+           (std::hash<int>{}(t.subdivisions) << 32) ^
+           (std::hash<int>{}(t.railsPerBump) << 48);
+  }
+};
 
-std::mutex& cacheMutex() {
-  static std::mutex m;
-  return m;
+// A sweep touches a handful of topologies; the LRU keeps the 16 most
+// recently used and evicts the rest.
+constexpr std::size_t kModelCapacity = 16;
+
+util::Memo<GridTopology, GridModel, TopologyHash>& modelMemo() {
+  static auto* memo = new util::Memo<GridTopology, GridModel, TopologyHash>(
+      kModelCapacity, 1,
+      {.hits = "powergrid/grid_assembly_reuses",
+       .misses = "powergrid/grid_assemblies",
+       .evictions = "powergrid/grid_model_evictions",
+       .joins = "powergrid/grid_assembly_reuses"});
+  return *memo;
 }
-
-std::map<TopologyKey, std::shared_ptr<const GridModel>>& cacheMap() {
-  static std::map<TopologyKey, std::shared_ptr<const GridModel>> cache;
-  return cache;
-}
-
-// A sweep touches a handful of topologies; anything past this is churn
-// from pathological test configs, so start over rather than grow forever.
-constexpr std::size_t kCacheCapacity = 16;
 }  // namespace
 
 std::shared_ptr<const GridModel> GridModel::forConfig(const GridConfig& cfg) {
+  // In-flight dedup: concurrent first requests for one topology (the
+  // parallel Figure 5 sweep) produce exactly one assembly.
   const GridTopology topo = gridTopology(cfg);
-  const TopologyKey key{topo.tilesX, topo.tilesY, topo.subdivisions,
-                        topo.railsPerBump};
-  // Build under the lock: concurrent first requests for one topology (the
-  // parallel Figure 5 sweep) must produce exactly one assembly.
-  std::lock_guard<std::mutex> lock(cacheMutex());
-  auto& cache = cacheMap();
-  if (const auto it = cache.find(key); it != cache.end()) {
-    NANO_OBS_COUNT("powergrid/grid_assembly_reuses", 1);
-    return it->second;
-  }
-  if (cache.size() >= kCacheCapacity) cache.clear();
-  NANO_OBS_COUNT("powergrid/grid_assemblies", 1);
-  auto model = std::make_shared<const GridModel>(topo);
-  cache.emplace(key, model);
-  return model;
+  return modelMemo().get(topo,
+                         [&] { return std::make_shared<const GridModel>(topo); });
 }
 
-void GridModel::clearCache() {
-  std::lock_guard<std::mutex> lock(cacheMutex());
-  cacheMap().clear();
-}
+void GridModel::clearCache() { modelMemo().clear(); }
 
 GridSolution solveGrid(const GridConfig& cfg, const GridSolverOptions& opt) {
   NANO_OBS_SPAN("powergrid/grid_solve");

@@ -87,8 +87,10 @@ class GridModel {
   explicit GridModel(const GridTopology& topology);
 
   /// Shared model for the topology implied by `config`, from a process-
-  /// wide cache. Counts obs "powergrid/grid_assemblies" on a build and
-  /// "powergrid/grid_assembly_reuses" on a hit.
+  /// wide memo (LRU over 16 topologies; concurrent callers for one new
+  /// topology share one assembly). Counts obs "powergrid/grid_assemblies"
+  /// on a build, "powergrid/grid_assembly_reuses" on a hit or a shared
+  /// build, and "powergrid/grid_model_evictions".
   static std::shared_ptr<const GridModel> forConfig(const GridConfig& config);
   /// Drop every cached model (tests that assert assembly counts).
   static void clearCache();

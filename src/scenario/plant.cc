@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <utility>
 
 #include "circuit/generator.h"
@@ -14,6 +13,7 @@
 #include "powergrid/grid_model.h"
 #include "powergrid/transient.h"
 #include "sta/sta.h"
+#include "util/memo.h"
 #include "util/numeric.h"
 #include "util/rng.h"
 
@@ -171,45 +171,36 @@ double Plant::supplyCurrent(double powerW, double vddFraction) const {
 
 namespace {
 
-struct PlantCache {
-  std::mutex mutex;
-  std::vector<std::pair<PlantConfig, std::shared_ptr<const Plant>>> entries;
+// Equal configs hash equal; plants in one process differ mostly by seed.
+struct PlantConfigHash {
+  std::size_t operator()(const PlantConfig& c) const {
+    return std::hash<int>{}(c.seed) ^ (std::hash<int>{}(c.gates) << 20) ^
+           (std::hash<int>{}(c.nodeNm) << 40);
+  }
 };
 
-PlantCache& plantCache() {
-  static PlantCache* cache = new PlantCache();
-  return *cache;
+// A plant is a few KB (two 13x9 surfaces plus scalars); 256 of them hold
+// every plant a policy study or the benchmark mix names, and bound a
+// client that streams distinct seeds.
+constexpr std::size_t kPlantCapacity = 256;
+
+util::Memo<PlantConfig, Plant, PlantConfigHash>& plantMemo() {
+  static auto* memo = new util::Memo<PlantConfig, Plant, PlantConfigHash>(
+      kPlantCapacity, 1,
+      {.hits = "scenario/plant_reuses",
+       .misses = "scenario/plant_builds",
+       .evictions = "scenario/plant_evictions",
+       .joins = "scenario/plant_reuses"});
+  return *memo;
 }
 
 }  // namespace
 
 std::shared_ptr<const Plant> Plant::forConfig(const PlantConfig& config) {
-  PlantCache& cache = plantCache();
-  {
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    for (const auto& [key, plant] : cache.entries) {
-      if (key == config) {
-        NANO_OBS_COUNT("scenario/plant_reuses", 1);
-        return plant;
-      }
-    }
-  }
-  // Build outside the lock (a build takes milliseconds; concurrent misses
-  // may race to build, last insert wins — both plants are identical).
-  NANO_OBS_COUNT("scenario/plant_builds", 1);
-  auto plant = std::make_shared<const Plant>(config);
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  for (const auto& [key, existing] : cache.entries) {
-    if (key == config) return existing;
-  }
-  cache.entries.emplace_back(config, plant);
-  return plant;
+  return plantMemo().get(
+      config, [&] { return std::make_shared<const Plant>(config); });
 }
 
-void Plant::clearCache() {
-  PlantCache& cache = plantCache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  cache.entries.clear();
-}
+void Plant::clearCache() { plantMemo().clear(); }
 
 }  // namespace nano::scenario

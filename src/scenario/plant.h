@@ -16,9 +16,10 @@
 //               plus the wake-up bump inductance, scaled per step into an
 //               IR-drop margin and an L*dI/dt rush-noise term.
 //
-// Plants cache process-wide by configuration (the GridModel::forConfig
-// pattern): a 64-variant policy sweep builds the netlist, runs STA, and
-// solves the grid exactly once.
+// Plants cache process-wide by configuration in a bounded LRU memo
+// (util::Memo, 256 plants) with in-flight dedup: a 64-variant policy
+// sweep builds the netlist, runs STA, and solves the grid exactly once,
+// even when its variants ask for the plant concurrently.
 #pragma once
 
 #include <memory>
@@ -56,9 +57,12 @@ class Plant {
  public:
   explicit Plant(const PlantConfig& config);
 
-  /// Shared plant for `config` from the process-wide cache. Counts obs
-  /// "scenario/plant_builds" on a build and "scenario/plant_reuses" on a
-  /// hit; builds run under the "scenario/plant_build" timer.
+  /// Shared plant for `config` from the process-wide memo (LRU over 256
+  /// plants; concurrent callers for one new config share one build).
+  /// Counts obs "scenario/plant_builds" on a build,
+  /// "scenario/plant_reuses" on a hit or a shared build, and
+  /// "scenario/plant_evictions"; builds run under the
+  /// "scenario/plant_build" timer.
   static std::shared_ptr<const Plant> forConfig(const PlantConfig& config);
   /// Drop every cached plant (tests that assert build counts).
   static void clearCache();

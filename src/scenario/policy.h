@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "thermal/dtm.h"
 #include "thermal/dvfs.h"
 
 namespace nano::scenario {
@@ -50,7 +51,7 @@ class Policy {
 };
 
 /// Reactive DTM throttle: the Pentium 4-style trip sensor with hysteresis
-/// and actuation delay, semantics matching thermal::simulateDtm. While
+/// and actuation delay — the thermal::DtmSensor simulateDtm runs. While
 /// throttled the clock runs at `throttleFactor` (and Vdd tracks it when
 /// `scaleVdd` is set, the ClockAndVdd kind).
 class ReactiveDtmPolicy : public Policy {
@@ -62,23 +63,24 @@ class ReactiveDtmPolicy : public Policy {
     double sensorDelayS = 100e-6;
     bool scaleVdd = false;
   };
-  explicit ReactiveDtmPolicy(const Config& config) : config_(config) {}
+  explicit ReactiveDtmPolicy(const Config& config)
+      : config_(config),
+        sensor_(config.tripTemperatureK, config.hysteresisK,
+                config.sensorDelayS) {}
 
   [[nodiscard]] const char* name() const override { return "dtm"; }
-  void reset() override;
+  void reset() override { sensor_.reset(); }
   Actuation decide(const PolicyObservation& obs) override;
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
   Config config_;
-  bool throttled_ = false;
-  double pendingChangeAt_ = -1.0;
-  bool pendingState_ = false;
+  thermal::DtmSensor sensor_;
 };
 
 /// Table-driven DVFS governor: picks the lowest-power level of a (f, V)
 /// table whose frequency covers the observed demand (the fastest level if
-/// none does — the thermal::simulateDvfs contract), and clock-gates below
+/// none does — thermal::pickDvfsLevel), and clock-gates below
 /// a demand threshold (0 disables gating).
 class TableDvfsPolicy : public Policy {
  public:

@@ -1,7 +1,8 @@
 // The service's pure evaluation core: one request in, one content-
-// determined Outcome out. No caching, no queueing — those live in
-// svc/cache.h and svc/scheduler.h; this layer only dispatches onto the
-// model library and renders deterministic JSON payloads.
+// determined Outcome out. No caching, no queueing — those live in the
+// Service's result memo (svc/server.h) and svc/scheduler.h; this layer
+// only dispatches onto the model library and renders deterministic JSON
+// payloads.
 #pragma once
 
 #include "svc/request.h"

@@ -10,21 +10,28 @@
 
 namespace nano::svc {
 
+namespace {
+constexpr std::size_t kResultShards = 8;
+}  // namespace
+
 Service::Service(ServiceOptions options)
     : options_(options),
-      cache_(options.cacheEntries, options.cacheShards),
+      cache_(options.cacheEntries, kResultShards,
+             {.hits = "svc/cache_hits",
+              .misses = "svc/cache_misses",
+              .evictions = "svc/cache_evictions",
+              .joins = "svc/dedup_joins"}),
       scheduler_([this](const Request& request) { return handle(request); },
                  options.scheduler) {}
 
 Response Service::handle(const Request& request) {
   std::int64_t evalNs = 0;
-  std::int64_t dedupJoinNs = 0;
   auto compute = [&] {
     // Install the request's identity for the duration of the evaluation
     // so the eval span and any exec regions it forks attribute to it.
     const obs::TraceContextScope scope(request.trace);
     const std::int64_t begin = obs::timingNowNs();
-    Outcome outcome = evaluate(request);
+    auto outcome = std::make_shared<const Outcome>(evaluate(request));
     const std::int64_t end = obs::timingNowNs();
     if (begin > 0) {
       evalNs = end - begin;
@@ -38,14 +45,32 @@ Response Service::handle(const Request& request) {
   };
   // Stats snapshots live process state: identical keys do not imply
   // identical payloads, so they bypass the cache and dedup entirely.
-  const Outcome outcome =
-      request.kind == RequestKind::Stats
-          ? compute()
-          : cache_.getOrCompute(request.canonicalKey(), compute, request.trace,
-                                &dedupJoinNs);
-  Response response = makeResponse(request, outcome);
+  if (request.kind == RequestKind::Stats) {
+    Response response = makeResponse(request, *compute());
+    response.evalNs = evalNs;
+    return response;
+  }
+  const ResultMemo::Lookup found =
+      cache_.lookup(request.canonicalKey(), [&] {
+        obs::traceInstant("svc", "cache.miss", request.trace);
+        return compute();
+      });
+  if (found.source == ResultMemo::Source::Hit) {
+    obs::traceInstant("svc", "cache.hit", request.trace);
+  } else if (found.source == ResultMemo::Source::Miss) {
+    NANO_OBS_GAUGE("svc/cache_size", static_cast<double>(cache_.size()));
+  } else if (found.joinBeginNs > 0) {
+    obs::traceComplete("svc", "cache.dedup_join", request.trace,
+                       found.joinBeginNs, found.joinNs);
+    if (obs::enabled()) {
+      obs::MetricsRegistry::instance()
+          .timer("svc/phase/dedup_join")
+          .record(static_cast<double>(found.joinNs) * 1e-9);
+    }
+  }
+  Response response = makeResponse(request, *found.value);
   response.evalNs = evalNs;
-  response.dedupJoinNs = dedupJoinNs;
+  response.dedupJoinNs = found.joinNs;
   return response;
 }
 

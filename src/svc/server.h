@@ -1,4 +1,4 @@
-// The long-running evaluation service (`nanod`): wires the result cache,
+// The long-running evaluation service (`nanod`): wires the result memo,
 // the scheduler, and the evaluator into one object, plus the per-session
 // request pipeline shared by every front end — the stdin/stdout JSONL
 // loop and each socket connection run the same Session: lines in, one
@@ -18,16 +18,15 @@
 #include <string>
 #include <thread>
 
-#include "svc/cache.h"
 #include "svc/eval.h"
 #include "svc/scheduler.h"
+#include "util/memo.h"
 
 namespace nano::svc {
 
 struct ServiceOptions {
   /// Result-cache entries across all shards (0 disables caching+dedup).
   std::size_t cacheEntries = 4096;
-  int cacheShards = 8;
   SchedulerOptions scheduler;
   /// Overload policy for submit(): false (default) sheds with a structured
   /// status when the queue is full; true blocks the submitter instead —
@@ -91,14 +90,23 @@ class Service {
   }
 
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
-  [[nodiscard]] ResultCache& cache() { return cache_; }
   [[nodiscard]] std::size_t queueDepth() const { return scheduler_.queueDepth(); }
 
  private:
+  /// Canonical request keys pick their shard by fnv1a64.
+  struct KeyHash {
+    std::size_t operator()(const std::string& key) const {
+      return fnv1a64(key);
+    }
+  };
+  /// Outcomes by canonical request key: sharded LRU with in-flight dedup
+  /// (util::Memo), so concurrent identical requests evaluate once.
+  using ResultMemo = util::Memo<std::string, Outcome, KeyHash>;
+
   Response handle(const Request& request);
 
   ServiceOptions options_;
-  ResultCache cache_;
+  ResultMemo cache_;
   std::atomic<std::uint64_t> nextTraceId_{1};
   std::atomic<std::uint64_t> nextSessionId_{1};
   Scheduler scheduler_;  ///< last member: stops before cache destructs

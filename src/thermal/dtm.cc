@@ -8,14 +8,33 @@
 
 namespace nano::thermal {
 
-DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
-                      double worstCasePower, double tAmbient,
-                      const DtmPolicy& policy, double dt, int traceStride) {
-  const ThermalInputCheck check = validateDtmInputs(
-      package, trace, worstCasePower, tAmbient, policy, dt, traceStride);
-  if (!check.ok()) {
-    throw std::invalid_argument("simulateDtm: " + check.describe());
+bool DtmSensor::update(double t, double temperatureK) {
+  const bool wants = throttled_ ? temperatureK > tripK_ - hysteresisK_
+                                : temperatureK > tripK_;
+  if (wants != throttled_) {
+    if (pendingChangeAt_ < 0 || pendingState_ != wants) {
+      pendingChangeAt_ = t + delayS_;
+      pendingState_ = wants;
+    }
+    if (t >= pendingChangeAt_) {
+      throttled_ = pendingState_;
+      pendingChangeAt_ = -1.0;
+    }
+  } else {
+    pendingChangeAt_ = -1.0;
   }
+  return throttled_;
+}
+
+ThermalInputCheck trySimulateDtm(const ThermalPackage& package,
+                                 const PowerTrace& trace,
+                                 double worstCasePower, double tAmbient,
+                                 const DtmPolicy& policy, DtmResult& result,
+                                 double dt, int traceStride) {
+  result = DtmResult{};
+  ThermalInputCheck check = validateDtmInputs(
+      package, trace, worstCasePower, tAmbient, policy, dt, traceStride);
+  if (!check.ok()) return check;
   const double duration = trace.totalDuration();
 
   // Power multiplier while throttled. Vdd scaling assumes V tracks f
@@ -25,11 +44,10 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
           ? policy.throttleFactor
           : std::pow(policy.throttleFactor, 3.0);
 
-  DtmResult result;
   double temperature = tAmbient;
+  DtmSensor sensor(policy.tripTemperature, policy.hysteresis,
+                   policy.sensorDelay);
   bool throttled = false;
-  double pendingChangeAt = -1.0;  // sensor delay modeling
-  bool pendingState = false;
 
   double tempSum = 0.0;
   double cycleSum = 0.0;
@@ -37,22 +55,7 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
   long steps = 0;
 
   for (double t = 0.0; t < duration; t += dt, ++steps) {
-    // Sensor comparison (with hysteresis); actuation after sensorDelay.
-    const bool sensorWantsThrottle =
-        throttled ? (temperature > policy.tripTemperature - policy.hysteresis)
-                  : (temperature > policy.tripTemperature);
-    if (policy.enabled && sensorWantsThrottle != throttled) {
-      if (pendingChangeAt < 0 || pendingState != sensorWantsThrottle) {
-        pendingChangeAt = t + policy.sensorDelay;
-        pendingState = sensorWantsThrottle;
-      }
-      if (t >= pendingChangeAt) {
-        throttled = pendingState;
-        pendingChangeAt = -1.0;
-      }
-    } else {
-      pendingChangeAt = -1.0;
-    }
+    if (policy.enabled) throttled = sensor.update(t, temperature);
 
     const double demandFraction = trace.at(t);
     const double powerFactor = throttled ? throttledPowerFactor : 1.0;
@@ -76,6 +79,19 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
   result.avgTemperature = tempSum / static_cast<double>(steps);
   result.throughputFraction = cycleSum / static_cast<double>(steps);
   result.throttledFraction = throttledTime / duration;
+  return check;
+}
+
+DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
+                      double worstCasePower, double tAmbient,
+                      const DtmPolicy& policy, double dt, int traceStride) {
+  DtmResult result;
+  const ThermalInputCheck check =
+      trySimulateDtm(package, trace, worstCasePower, tAmbient, policy, result,
+                     dt, traceStride);
+  if (!check.ok()) {
+    throw std::invalid_argument("simulateDtm: " + check.describe());
+  }
   return result;
 }
 

@@ -28,6 +28,31 @@ struct DtmPolicy {
   bool enabled = true;
 };
 
+/// The trip sensor of a DTM controller: a comparator with hysteresis
+/// (asserts above `tripK`, deasserts at or below `tripK - hysteresisK`)
+/// whose output change reaches the actuator `delayS` later; a change the
+/// comparator takes back before then never applies. simulateDtm and the
+/// scenario engine's reactive DTM policy both run this one latch.
+class DtmSensor {
+ public:
+  DtmSensor(double tripK, double hysteresisK, double delayS)
+      : tripK_(tripK), hysteresisK_(hysteresisK), delayS_(delayS) {}
+
+  /// Sample the junction at time `t` (non-decreasing across calls);
+  /// returns whether the actuator is throttled from now on.
+  bool update(double t, double temperatureK);
+  /// Back to untripped with no pending change.
+  void reset() { *this = DtmSensor(tripK_, hysteresisK_, delayS_); }
+
+ private:
+  double tripK_;
+  double hysteresisK_;
+  double delayS_;
+  bool throttled_ = false;
+  double pendingChangeAt_ = -1.0;
+  bool pendingState_ = false;
+};
+
 /// Result of a closed-loop simulation.
 struct DtmResult {
   double maxTemperature = 0.0;       ///< K

@@ -7,38 +7,37 @@
 
 namespace nano::thermal {
 
-DvfsResult simulateDvfs(const ThermalPackage& package, const PowerTrace& demand,
-                        double worstCasePower, double tAmbient,
-                        const DvfsPolicy& policy) {
-  const ThermalInputCheck check =
-      validateDvfsInputs(package, demand, worstCasePower, tAmbient, policy);
-  if (!check.ok()) {
-    throw std::invalid_argument("simulateDvfs: " + check.describe());
-  }
-
-  // The governor's choice per demand value: the admissible level with the
-  // lowest power factor; the fastest level if demand exceeds them all.
-  auto pickLevel = [&](double d) {
-    const DvfsLevel* fastest = &policy.levels.front();
-    const DvfsLevel* best = nullptr;
-    for (const auto& level : policy.levels) {
-      if (level.freqFraction > fastest->freqFraction) fastest = &level;
-      if (level.freqFraction + 1e-12 >= d &&
-          (best == nullptr || level.powerFactor() < best->powerFactor())) {
-        best = &level;
-      }
+const DvfsLevel& pickDvfsLevel(const std::vector<DvfsLevel>& levels,
+                               double demand) {
+  const DvfsLevel* fastest = &levels.front();
+  const DvfsLevel* best = nullptr;
+  for (const auto& level : levels) {
+    if (level.freqFraction > fastest->freqFraction) fastest = &level;
+    if (level.freqFraction + 1e-12 >= demand &&
+        (best == nullptr || level.powerFactor() < best->powerFactor())) {
+      best = &level;
     }
-    return best != nullptr ? best : fastest;
-  };
+  }
+  return best != nullptr ? *best : *fastest;
+}
 
-  DvfsResult res;
+ThermalInputCheck trySimulateDvfs(const ThermalPackage& package,
+                                  const PowerTrace& demand,
+                                  double worstCasePower, double tAmbient,
+                                  const DvfsPolicy& policy,
+                                  DvfsResult& result) {
+  result = DvfsResult{};
+  ThermalInputCheck check =
+      validateDvfsInputs(package, demand, worstCasePower, tAmbient, policy);
+  if (!check.ok()) return check;
+
   double temperature = tAmbient;
   double demandedWork = 0.0;
   double deliveredWork = 0.0;
 
   for (const auto& phase : demand.phases) {
     const double d = std::clamp(phase.powerFraction, 0.0, 1.0);
-    const DvfsLevel& level = *pickLevel(d);
+    const DvfsLevel& level = pickDvfsLevel(policy.levels, d);
 
     // Work: the core can deliver at most level.freqFraction of peak.
     const double delivered = std::min(d, level.freqFraction);
@@ -52,22 +51,34 @@ DvfsResult simulateDvfs(const ThermalPackage& package, const PowerTrace& demand,
     const double idle = (1.0 - busy) * policy.idleFraction * worstCasePower *
                         level.vddFraction * level.vddFraction;
     const double power = active + idle;
-    res.energy += power * phase.duration;
+    result.energy += power * phase.duration;
 
     // Race-to-idle baseline: sprint at full speed, then idle at full V.
     const double fullSpeed =
         d * worstCasePower +
         (1.0 - d) * policy.idleFraction * worstCasePower;
-    res.energyFullSpeed += fullSpeed * phase.duration;
+    result.energyFullSpeed += fullSpeed * phase.duration;
 
     temperature = package.step(temperature, power, tAmbient, phase.duration);
-    res.maxTemperature = std::max(res.maxTemperature, temperature);
+    result.maxTemperature = std::max(result.maxTemperature, temperature);
   }
 
-  res.avgPower = res.energy / demand.totalDuration();
-  res.throughputDelivered =
+  result.avgPower = result.energy / demand.totalDuration();
+  result.throughputDelivered =
       demandedWork > 0 ? deliveredWork / demandedWork : 1.0;
-  return res;
+  return check;
+}
+
+DvfsResult simulateDvfs(const ThermalPackage& package, const PowerTrace& demand,
+                        double worstCasePower, double tAmbient,
+                        const DvfsPolicy& policy) {
+  DvfsResult result;
+  const ThermalInputCheck check = trySimulateDvfs(
+      package, demand, worstCasePower, tAmbient, policy, result);
+  if (!check.ok()) {
+    throw std::invalid_argument("simulateDvfs: " + check.describe());
+  }
+  return result;
 }
 
 }  // namespace nano::thermal

@@ -46,6 +46,13 @@ struct DvfsResult {
   }
 };
 
+/// The governor's level for a demand in [0, 1] of peak throughput: the
+/// lowest-power level whose frequency covers it, the fastest level when
+/// none does. `levels` must not be empty. simulateDvfs and the scenario
+/// engine's table DVFS policy both pick through this.
+const DvfsLevel& pickDvfsLevel(const std::vector<DvfsLevel>& levels,
+                               double demand);
+
 /// Simulate the governor over `demand` (phases of utilization demand in
 /// [0,1] of peak throughput). `worstCasePower` is the full-speed active
 /// power; thermal closure uses `package`/`tAmbient`.

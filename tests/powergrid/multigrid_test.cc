@@ -295,6 +295,31 @@ TEST(GridModelCache, AssemblesOncePerTopology) {
   nano::obs::setEnabled(wasEnabled);
 }
 
+TEST(GridModelCache, LruKeepsTheMostRecentTopologies) {
+  const bool wasEnabled = nano::obs::enabled();
+  nano::obs::setEnabled(true);
+  auto& registry = nano::obs::MetricsRegistry::instance();
+  registry.reset();
+  GridModel::clearCache();
+
+  // 17 distinct topologies (one more than the memo holds), tiny meshes.
+  auto topology = [](int i) { return mediumConfig(2, i, 1); };
+  for (int i = 1; i <= 17; ++i) (void)GridModel::forConfig(topology(i));
+  EXPECT_EQ(registry.counter("powergrid/grid_assemblies").value(), 17);
+  EXPECT_EQ(registry.counter("powergrid/grid_model_evictions").value(), 1);
+
+  // The one before the newest is still a hit; the oldest was evicted.
+  (void)GridModel::forConfig(topology(16));
+  EXPECT_EQ(registry.counter("powergrid/grid_assembly_reuses").value(), 1);
+  EXPECT_EQ(registry.counter("powergrid/grid_assemblies").value(), 17);
+  (void)GridModel::forConfig(topology(1));
+  EXPECT_EQ(registry.counter("powergrid/grid_assemblies").value(), 18);
+
+  registry.reset();
+  GridModel::clearCache();
+  nano::obs::setEnabled(wasEnabled);
+}
+
 TEST(GridModelCache, ScalingRailWidthScalesDropExactly) {
   // With the matrix cached as a unit Laplacian, conductance enters only
   // through the rhs scale — doubling the rail width must exactly halve

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
 
+#include "obs/obs.h"
 #include "scenario/plant.h"
 #include "thermal/workload.h"
 
@@ -28,6 +33,79 @@ TEST(Plant, CachesByConfig) {
   other.seed = 2;
   const auto c = Plant::forConfig(other);
   EXPECT_NE(a.get(), c.get());
+}
+
+/// A cheap plant: 64 gates, coarse grid mesh.
+PlantConfig smallPlant(int seed) {
+  PlantConfig config;
+  config.gates = 64;
+  config.seed = seed;
+  config.gridSubdivisions = 2;
+  return config;
+}
+
+/// Enables obs with a clean registry for one test; restores on exit.
+class ObsScope {
+ public:
+  ObsScope() : was_(obs::enabled()) {
+    obs::MetricsRegistry::instance().reset();
+    obs::setEnabled(true);
+  }
+  ~ObsScope() {
+    obs::setEnabled(was_);
+    obs::MetricsRegistry::instance().reset();
+  }
+  static std::int64_t counter(const char* name) {
+    return obs::MetricsRegistry::instance().counter(name).value();
+  }
+
+ private:
+  bool was_;
+};
+
+TEST(Plant, CacheIsBoundedUnderStreamingSeeds) {
+  const ObsScope scope;
+  Plant::clearCache();
+  constexpr int kSeeds = 300;
+  std::vector<std::weak_ptr<const Plant>> plants;
+  plants.reserve(kSeeds);
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    plants.emplace_back(Plant::forConfig(smallPlant(seed)));
+  }
+  // Only the memo holds the plants now: the live ones are the cached ones.
+  const auto live = std::count_if(plants.begin(), plants.end(),
+                                  [](const auto& p) { return !p.expired(); });
+  EXPECT_LE(live, 256);
+  EXPECT_GT(ObsScope::counter("scenario/plant_evictions"), 0);
+  EXPECT_EQ(ObsScope::counter("scenario/plant_builds"), kSeeds);
+  // The most recent plant is still cached; the first was evicted.
+  EXPECT_FALSE(plants.back().expired());
+  EXPECT_TRUE(plants.front().expired());
+  Plant::clearCache();
+}
+
+TEST(Plant, ConcurrentRequestsForANewConfigBuildOnce) {
+  const ObsScope scope;
+  Plant::clearCache();
+  constexpr int kThreads = 8;
+  // A full-size slice: its build is long enough for the threads to race.
+  PlantConfig config;
+  config.seed = 4242;
+  std::atomic<int> ready{0};
+  std::vector<std::shared_ptr<const Plant>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[t] = Plant::forConfig(config);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(ObsScope::counter("scenario/plant_builds"), 1);
+  EXPECT_EQ(ObsScope::counter("scenario/plant_reuses"), kThreads - 1);
+  for (const auto& plant : got) EXPECT_EQ(plant.get(), got.front().get());
+  Plant::clearCache();
 }
 
 TEST(Plant, PhysicalResponsesAreSane) {
