@@ -68,6 +68,29 @@ void BM_Sta(benchmark::State& state) {
 }
 BENCHMARK(BM_Sta)->Arg(1000)->Arg(4000)->Arg(16000);
 
+// The object -> SoA mirror build alone, split from BM_Sta (which pays for
+// it on every sta::analyze(Netlist) call): one fresh NetlistSoA per
+// iteration, timing-only as sta::analyze builds it (items = gates/s).
+void BM_SoaMirror(benchmark::State& state) {
+  const circuit::Netlist nl =
+      makeScaledNetlist(static_cast<int>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const circuit::NetlistSoA soa(nl, {.keepCells = false});
+    bytes = soa.arenaBytes();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["bytes_per_gate"] =
+      static_cast<double>(bytes) / static_cast<double>(nl.gateCount());
+}
+BENCHMARK(BM_SoaMirror)
+    ->Arg(16000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // The flat SoA timing core at scale: one full level-parallel STA pass per
 // iteration over a prebuilt mirror (items = gates/s). bytes_per_gate is
 // the arena footprint of the reusable engine — the memory-per-gate

@@ -1,11 +1,13 @@
 // One-shot levelizer: assigns every node of a fanin graph its topological
 // level (primary inputs / sources at level 0; a gate one past its deepest
 // fanin) and produces the level-bucketed sweep schedule the flat STA
-// engines iterate. Operates on raw CSR adjacency so it can be driven by
-// NetlistSoA (always a DAG by construction) and by robustness tests that
-// feed it hostile graphs: cycles, self-loops, out-of-range indices and
+// engines iterate. Operates on raw CSR adjacency in any node order, so it
+// validates arbitrary graphs: cycles, self-loops, out-of-range indices and
 // disconnected or zero-fanout nodes all come back as structured results —
-// no exceptions, no UB.
+// no exceptions, no UB. NetlistSoA does not call it: a Netlist's fanins
+// always precede their node, so the mirror derives the identical schedule
+// in its own forward pass, and levelize() is the oracle the tests check
+// that schedule against.
 #pragma once
 
 #include <cstdint>

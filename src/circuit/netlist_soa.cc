@@ -71,38 +71,56 @@ void NetlistSoA::rebuild(const Netlist& netlist, BuildOptions options) {
 
   // Pass 2: adjacency in object edge order (the STA sweeps iterate these
   // in the same order the object engine iterated the Node vectors, which
-  // is what keeps the refactor bit-identical).
+  // is what keeps the refactor bit-identical), and each node's level in
+  // the same sweep: a Netlist's fanins always precede their node
+  // (Netlist::addGate enforces it), so one forward pass in id order sees
+  // every fanin level before it needs it.
   std::uint32_t fi = 0;
   std::uint32_t fo = 0;
+  std::uint32_t maxLevel = 0;
   for (std::uint32_t i = 0; i < nodeCount_; ++i) {
     const Netlist::Node& node = netlist.node(static_cast<int>(i));
-    for (int f : node.fanins) faninIdx_[fi++] = static_cast<std::uint32_t>(f);
+    std::uint32_t level = 0;
+    for (int f : node.fanins) {
+      if (f < 0 || static_cast<std::uint32_t>(f) >= i) {
+        throw std::logic_error("NetlistSoA: node " + std::to_string(i) +
+                               " lists fanin " + std::to_string(f) +
+                               " that does not precede it");
+      }
+      const auto u = static_cast<std::uint32_t>(f);
+      faninIdx_[fi++] = u;
+      level = std::max(level, levelOf_[u] + 1);
+    }
+    levelOf_[i] = level;
+    maxLevel = std::max(maxLevel, level);
     for (int c : node.fanouts) fanoutIdx_[fo++] = static_cast<std::uint32_t>(c);
   }
   for (std::uint32_t k = 0; k < outputCount_; ++k) {
     outputs_[k] = static_cast<std::uint32_t>(netlist.outputs()[k]);
   }
 
-  // Level schedule. A Netlist is a DAG by construction (fanins reference
-  // earlier ids only), so levelize can only fail on internal corruption.
-  LevelSchedule schedule =
-      levelize(nodeCount_, {faninOff_, static_cast<std::size_t>(nodeCount_) + 1},
-               {faninIdx_, static_cast<std::size_t>(faninEdges)});
-  if (!schedule.ok()) {
-    throw std::logic_error(std::string("NetlistSoA: levelize failed: ") +
-                           schedule.message);
-  }
-  levelCount_ = schedule.levelCount;
+  // Level schedule, exactly levelize()'s: a counting sort of the ids by
+  // level, ascending id inside a level. levelOffsets_ doubles as the fill
+  // cursor (each slot ends at the next level's start) and is shifted back
+  // afterwards, so the build takes no scratch beyond the two arrays.
+  levelCount_ = nodeCount_ == 0 ? 0 : maxLevel + 1;
   levelOffsets_ = arena_.allocateArray<std::uint32_t>(
       static_cast<std::size_t>(levelCount_) + 1);
   order_ = arena_.allocateArray<std::uint32_t>(nodeCount_);
+  std::fill(levelOffsets_, levelOffsets_ + levelCount_ + 1, 0u);
   for (std::uint32_t i = 0; i < nodeCount_; ++i) {
-    levelOf_[i] = schedule.levelOf[i];
-    order_[i] = schedule.order[i];
+    ++levelOffsets_[levelOf_[i] + 1];
   }
-  for (std::uint32_t l = 0; l <= levelCount_; ++l) {
-    levelOffsets_[l] = schedule.levelOffsets[l];
+  for (std::uint32_t l = 0; l < levelCount_; ++l) {
+    levelOffsets_[l + 1] += levelOffsets_[l];
   }
+  for (std::uint32_t i = 0; i < nodeCount_; ++i) {
+    order_[levelOffsets_[levelOf_[i]]++] = i;
+  }
+  for (std::uint32_t l = levelCount_; l > 0; --l) {
+    levelOffsets_[l] = levelOffsets_[l - 1];
+  }
+  levelOffsets_[0] = 0;
 
   cells_.clear();
   if (keepCells_) {

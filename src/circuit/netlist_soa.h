@@ -9,21 +9,23 @@
 //   loadCap / driveRes /     the exact operands of Cell::delay and the
 //     selfCap / inputCap       load-cap cache, mirrored bit-for-bit
 //   outputs                  endpoint list, insertion order preserved
-//   level schedule           levelize() buckets for level-parallel sweeps
+//   level schedule           level buckets for level-parallel sweeps,
+//                              computed in the build's forward pass
 //
 // The mirror is semantically lossless: with keepCells on (the default) the
 // full Cell structs ride along in a cold std::vector and toNetlist()
 // reconstructs an object netlist whose netlist_io serialization is
 // byte-identical to the source's. rebuild() rewinds the arena and rebuilds
 // in place, so a steady-state consumer re-mirroring a same-shaped netlist
-// allocates nothing.
+// allocates nothing. A build writes every arena byte it hands out before
+// reading it (arena blocks are not zeroed) and takes no scratch beyond
+// the arrays listed above.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "circuit/levelize.h"
 #include "circuit/netlist.h"
 #include "util/arena.h"
 
@@ -46,7 +48,8 @@ class NetlistSoA {
   explicit NetlistSoA(const Netlist& netlist, BuildOptions options = {});
 
   /// Rebuild from `netlist`, reusing the arena (zero heap growth when the
-  /// new shape fits the high-water mark).
+  /// new shape fits the high-water mark). Throws std::logic_error if a
+  /// fanin does not precede its node (a corrupted netlist).
   void rebuild(const Netlist& netlist, BuildOptions options = {});
 
   [[nodiscard]] std::uint32_t nodeCount() const { return nodeCount_; }
@@ -85,8 +88,11 @@ class NetlistSoA {
                : 0.0;
   }
 
-  // Level schedule (levelize() over the fanin CSR): nodes of level L are
-  // order()[levelOffsets()[L] .. levelOffsets()[L+1]), ascending id.
+  // Level schedule: a primary input is level 0 and a gate one past its
+  // deepest fanin; nodes of level L are
+  // order()[levelOffsets()[L] .. levelOffsets()[L+1]), ascending id —
+  // exactly what circuit::levelize() returns for the fanin CSR, built in
+  // one forward pass because a Netlist's fanins precede their node.
   [[nodiscard]] std::uint32_t levelCount() const { return levelCount_; }
   [[nodiscard]] std::uint32_t levelOf(std::uint32_t id) const {
     return levelOf_[id];

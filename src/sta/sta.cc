@@ -29,8 +29,13 @@ const TimingResult& Sta::analyze(double clockPeriod) {
   NANO_OBS_COUNT("sta/analyze_calls", 1);
   NANO_OBS_COUNT("sta/nodes_timed", static_cast<std::int64_t>(n));
 
-  if (worstFanin_ == nullptr) {
+  // The bound SoA may have been rebuilt bigger since the last call; the
+  // scratch only ever grows, so re-analysis at or below the high-water
+  // node count stays allocation-free.
+  if (worstFanin_ == nullptr || n > worstFaninCapacity_) {
+    arena_.reset();
     worstFanin_ = arena_.allocateArray<std::int32_t>(n);
+    worstFaninCapacity_ = n;
   }
   result_.arrival.assign(n, 0.0);
   result_.required.assign(n, kInf);
@@ -156,7 +161,8 @@ const TimingResult& Sta::analyze(double clockPeriod) {
 
 TimingResult analyze(const NetlistSoA& soa, double clockPeriod) {
   Sta engine(soa);
-  return engine.analyze(clockPeriod);
+  engine.analyze(clockPeriod);
+  return engine.takeResult();
 }
 
 TimingResult analyze(const Netlist& netlist, double clockPeriod) {

@@ -8,11 +8,14 @@
 // strictly later (backward) levels, so each level runs data-parallel
 // through exec::parallelForBlocked with bit-identical results at any lane
 // count. The object-netlist overloads are thin wrappers that mirror into
-// SoA form first; their results are bit-identical to the historical
+// SoA form first and move the engine's result out (no copy of the
+// per-node vectors); their results are bit-identical to the historical
 // pointer-walking implementation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/netlist.h"
@@ -38,11 +41,12 @@ struct TimingResult {
 };
 
 /// Reusable full-analysis engine over a NetlistSoA. Binds by reference;
-/// the caller keeps the SoA alive. All working storage (the level-sweep
-/// scratch and the TimingResult buffers) is allocated on the first
-/// analyze() and reused afterwards, so steady-state re-analysis performs
-/// zero heap allocations — arenaGrowthCount() is the proof the scale
-/// smoke test asserts on.
+/// the caller keeps the SoA alive, and may rebuild() it in place to any
+/// size between calls. All working storage (the level-sweep scratch and
+/// the TimingResult buffers) is allocated on the first analyze() — or the
+/// first one after the SoA outgrows it — and reused afterwards, so
+/// steady-state re-analysis performs zero heap allocations
+/// (arenaGrowthCount() is the proof the scale smoke test asserts on).
 class Sta {
  public:
   explicit Sta(const circuit::NetlistSoA& soa) : soa_(&soa) {}
@@ -53,6 +57,11 @@ class Sta {
   const TimingResult& analyze(double clockPeriod = -1.0);
 
   [[nodiscard]] const TimingResult& result() const { return result_; }
+
+  /// Move the last analyze()'s result out instead of copying its three
+  /// per-node vectors. result() is empty afterwards, and the next
+  /// analyze() allocates fresh result buffers.
+  [[nodiscard]] TimingResult takeResult() { return std::move(result_); }
 
   /// Heap-growth events of the scratch arena over this engine's lifetime
   /// (flat across steady-state analyze() calls).
@@ -80,6 +89,7 @@ class Sta {
   const circuit::NetlistSoA* soa_;
   util::Arena arena_;
   std::int32_t* worstFanin_ = nullptr;
+  std::size_t worstFaninCapacity_ = 0;  ///< nodes worstFanin_ can hold
   SweepCtx ctx_;
   TimingResult result_;
 };

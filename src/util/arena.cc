@@ -41,7 +41,9 @@ void* Arena::allocate(std::size_t bytes, std::size_t alignment) {
 void Arena::ensure(std::size_t bytes) {
   std::size_t cap = std::max(nextBlockBytes_, bytes);
   Block b;
-  b.data = std::make_unique<std::byte[]>(cap);
+  // Uninitialized on purpose: zero-filling would touch every page of a
+  // block the first allocations may use only a fraction of.
+  b.data = std::make_unique_for_overwrite<std::byte[]>(cap);
   b.capacity = cap;
   blocks_.push_back(std::move(b));
   bytesReserved_ += cap;

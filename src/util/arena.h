@@ -10,6 +10,9 @@
 // Only trivially copyable/destructible element types are supported: the
 // arena never runs destructors (reset and destruction just drop the
 // memory), which is exactly right for the index/double arrays it backs.
+// Blocks are not zeroed either: allocateArray hands out uninitialized
+// memory that its caller must write before it reads, and
+// allocateZeroedArray is the one way to get zeros.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +35,8 @@ class Arena {
   /// Raw aligned allocation. Alignment must be a power of two.
   void* allocate(std::size_t bytes, std::size_t alignment);
 
-  /// Typed array allocation, uninitialized.
+  /// Typed array allocation, uninitialized (block memory is never
+  /// pre-zeroed, not even on a fresh block).
   template <typename T>
   T* allocateArray(std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T> &&

@@ -1,7 +1,9 @@
 // Property tests for the NetlistSoA mirror: seeded random netlists at
 // 100 / 1k / 10k / 100k gates round-trip object -> SoA -> object with
-// byte-identical netlist_io serialization, and the flat adjacency +
-// timing-operand arrays agree with the object netlist exactly.
+// byte-identical netlist_io serialization, the flat adjacency +
+// timing-operand arrays agree with the object netlist exactly, and the
+// mirror's own level schedule equals circuit::levelize() over the same
+// fanin CSR element by element.
 #include "circuit/netlist_soa.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "circuit/generator.h"
+#include "circuit/levelize.h"
 #include "circuit/library.h"
 #include "circuit/netlist.h"
 #include "circuit/netlist_io.h"
@@ -29,6 +32,37 @@ const Library& lib() {
 Netlist makeRandom(int gates, std::uint64_t seed) {
   util::Rng rng(seed);
   return pipelinedLogic(lib(), scaledConfig(gates), rng, 4);
+}
+
+/// levelize() over the mirror's fanin CSR: the oracle schedule.
+LevelSchedule levelizeMirror(const NetlistSoA& soa) {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> fanins;
+  offsets.reserve(static_cast<std::size_t>(soa.nodeCount()) + 1);
+  for (std::uint32_t id = 0; id < soa.nodeCount(); ++id) {
+    offsets.push_back(static_cast<std::uint32_t>(fanins.size()));
+    const auto fi = soa.fanins(id);
+    fanins.insert(fanins.end(), fi.begin(), fi.end());
+  }
+  offsets.push_back(static_cast<std::uint32_t>(fanins.size()));
+  return levelize(soa.nodeCount(), offsets, fanins);
+}
+
+void expectScheduleMatchesLevelize(const NetlistSoA& soa) {
+  const LevelSchedule ref = levelizeMirror(soa);
+  ASSERT_TRUE(ref.ok()) << ref.message;
+  ASSERT_EQ(soa.levelCount(), ref.levelCount);
+  std::vector<std::uint32_t> levelOf(soa.nodeCount());
+  for (std::uint32_t id = 0; id < soa.nodeCount(); ++id) {
+    levelOf[id] = soa.levelOf(id);
+  }
+  EXPECT_EQ(levelOf, ref.levelOf);
+  const auto offsets = soa.levelOffsets();
+  EXPECT_EQ(std::vector<std::uint32_t>(offsets.begin(), offsets.end()),
+            ref.levelOffsets);
+  const auto order = soa.order();
+  EXPECT_EQ(std::vector<std::uint32_t>(order.begin(), order.end()),
+            ref.order);
 }
 
 std::string serialize(const Netlist& nl) {
@@ -112,6 +146,11 @@ TEST_P(SoaPropertyTest, LevelScheduleCoversAndRespectsTopology) {
   }
 }
 
+TEST_P(SoaPropertyTest, LevelScheduleMatchesLevelizeExactly) {
+  const Netlist nl = makeRandom(GetParam(), 13u * GetParam() + 7);
+  expectScheduleMatchesLevelize(NetlistSoA(nl, {.keepCells = false}));
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, SoaPropertyTest,
                          ::testing::Values(100, 1000, 10000, 100000));
 
@@ -144,6 +183,52 @@ TEST(NetlistSoATest, RebuildReusesArenaAtSteadyState) {
   ASSERT_GT(soa.arenaBytes(), 0u);
   for (int i = 0; i < 5; ++i) soa.rebuild(nl, {.keepCells = false});
   EXPECT_EQ(soa.arenaGrowthCount(), growth);
+}
+
+TEST(NetlistSoATest, PrimaryInputOnlyScheduleIsOneLevel) {
+  Netlist nl(1e-15, 2e-15);
+  for (int i = 0; i < 37; ++i) (void)nl.addInput();
+  const NetlistSoA soa(nl, {.keepCells = false});
+  EXPECT_EQ(soa.levelCount(), 1u);
+  expectScheduleMatchesLevelize(soa);
+}
+
+TEST(NetlistSoATest, EmptyNetlistHasNoLevels) {
+  const NetlistSoA soa(Netlist{}, {.keepCells = false});
+  EXPECT_EQ(soa.nodeCount(), 0u);
+  EXPECT_EQ(soa.levelCount(), 0u);
+  ASSERT_EQ(soa.levelOffsets().size(), 1u);
+  EXPECT_EQ(soa.levelOffsets()[0], 0u);
+  EXPECT_TRUE(soa.order().empty());
+  expectScheduleMatchesLevelize(soa);
+}
+
+// An in-place rebuild reuses arena memory that still holds the previous
+// shape's schedule; nothing of it may leak into the new one.
+TEST(NetlistSoATest, RebuildToDifferentShapesKeepsScheduleExact) {
+  NetlistSoA soa(makeRandom(3000, 21), {.keepCells = false});
+  expectScheduleMatchesLevelize(soa);
+  soa.rebuild(makeRandom(700, 22), {.keepCells = false});
+  expectScheduleMatchesLevelize(soa);
+  soa.rebuild(makeRandom(20000, 23), {.keepCells = false});
+  expectScheduleMatchesLevelize(soa);
+  Netlist inputsOnly;
+  for (int i = 0; i < 5; ++i) (void)inputsOnly.addInput();
+  soa.rebuild(inputsOnly, {.keepCells = false});
+  expectScheduleMatchesLevelize(soa);
+  soa.rebuild(Netlist{}, {.keepCells = false});
+  expectScheduleMatchesLevelize(soa);
+  soa.rebuild(makeRandom(3000, 21));
+  expectScheduleMatchesLevelize(soa);
+}
+
+// arenaBytes() is reported as soa_bytes by the sta service; the schedule
+// build must take exactly the bytes the mirror's arrays need. Pinned to
+// the value of the levelize()-driven build this one replaced.
+TEST(NetlistSoATest, ArenaBytesArePinnedForAFixedNetlist) {
+  const Netlist nl = makeRandom(1000, 2024);
+  EXPECT_EQ(NetlistSoA(nl, {.keepCells = false}).arenaBytes(), 67268u);
+  EXPECT_EQ(NetlistSoA(nl).arenaBytes(), 67268u);
 }
 
 TEST(NetlistSoATest, ToNetlistWithoutCellsThrows) {

@@ -182,6 +182,44 @@ TEST(SoaEquivalenceTest, SteadyStateReanalysisAllocatesNothing) {
   EXPECT_GT(engine.arenaBytes(), 0u);
 }
 
+// An engine bound to a mirror that is later rebuilt in place from a much
+// bigger netlist must grow its scratch, not sweep past it, and must match
+// a fresh analysis to the last bit; shrinking back reuses the capacity.
+TEST(StaEngine, ReanalyzeAfterRebuildToLargerNetlist) {
+  const Netlist small = makeNetlist(100, 4);
+  const Netlist large = makeNetlist(100000, 5);
+  NetlistSoA soa(small, {.keepCells = false});
+  Sta engine(soa);
+  expectResultsBitEqual(engine.analyze(), referenceAnalyze(small, -1.0));
+
+  soa.rebuild(large, {.keepCells = false});
+  const TimingResult& grown = engine.analyze();
+  expectResultsBitEqual(grown, analyze(large));
+  expectResultsBitEqual(grown, referenceAnalyze(large, -1.0));
+
+  const std::int64_t growth = engine.arenaGrowthCount();
+  for (int i = 0; i < 3; ++i) (void)engine.analyze();
+  EXPECT_EQ(engine.arenaGrowthCount(), growth);
+
+  soa.rebuild(small, {.keepCells = false});
+  expectResultsBitEqual(engine.analyze(), referenceAnalyze(small, -1.0));
+  EXPECT_EQ(engine.arenaGrowthCount(), growth);
+}
+
+TEST(StaEngine, TakeResultMovesTheLastAnalysisOut) {
+  const Netlist nl = makeNetlist(2000, 6);
+  const NetlistSoA soa(nl, {.keepCells = false});
+  Sta engine(soa);
+  const TimingResult copy = engine.analyze();
+  const double* arrival = engine.result().arrival.data();
+  const TimingResult taken = engine.takeResult();
+  EXPECT_EQ(taken.arrival.data(), arrival);  // moved, not copied
+  expectResultsBitEqual(taken, copy);
+  EXPECT_TRUE(engine.result().arrival.empty());
+  // The engine stays usable after its result was taken.
+  expectResultsBitEqual(engine.analyze(), copy);
+}
+
 // Randomized swap scripts: after every trial/commit/rollback the
 // incremental state must match a fresh full analysis (reference AND SoA
 // engines) to the last bit.

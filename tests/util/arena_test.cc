@@ -43,6 +43,18 @@ TEST(ArenaTest, ZeroedArrayIsZero) {
   for (int i = 0; i < 257; ++i) ASSERT_EQ(z[i], 0u);
 }
 
+TEST(ArenaTest, ZeroedArrayIsZeroOnReusedMemory) {
+  // Blocks are not pre-zeroed, and reused memory holds the last round's
+  // bytes; allocateZeroedArray must still hand back zeros.
+  Arena a;
+  auto* dirty = a.allocateArray<std::uint64_t>(1024);
+  for (int i = 0; i < 1024; ++i) dirty[i] = ~std::uint64_t{0};
+  a.reset();
+  auto* z = a.allocateZeroedArray<std::uint64_t>(1024);
+  EXPECT_EQ(static_cast<void*>(z), static_cast<void*>(dirty));
+  for (int i = 0; i < 1024; ++i) ASSERT_EQ(z[i], 0u);
+}
+
 TEST(ArenaTest, ResetRewindsWithoutReleasing) {
   Arena a;
   (void)a.allocateArray<double>(10000);
