@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "circuit/generator.h"
-#include "circuit/netlist_soa.h"
+#include "circuit/netlist.h"
 #include "core/design_space.h"
 #include "device/mosfet.h"
 #include "exec/exec.h"
@@ -66,51 +66,59 @@ void BM_Sta(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sta)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_Sta)->Arg(1000)->Arg(4000)->Arg(16000)->UseRealTime();
 
-// The object -> SoA mirror build alone, split from BM_Sta (which pays for
-// it on every sta::analyze(Netlist) call): one fresh NetlistSoA per
-// iteration, timing-only as sta::analyze builds it (items = gates/s).
-void BM_SoaMirror(benchmark::State& state) {
-  const circuit::Netlist nl =
-      makeScaledNetlist(static_cast<int>(state.range(0)));
+// NetlistBuilder::build() alone: the fanout transpose, load caps and level
+// schedule derived from an appended netlist (items = gates/s). The copy of
+// the filled builder each iteration consumes is made outside the clock.
+void BM_NetlistBuild(benchmark::State& state) {
+  const circuit::NetlistBuilder filled(
+      makeScaledNetlist(static_cast<int>(state.range(0))));
   std::size_t bytes = 0;
+  int gates = 0;
   for (auto _ : state) {
-    const circuit::NetlistSoA soa(nl, {.keepCells = false});
-    bytes = soa.arenaBytes();
+    state.PauseTiming();
+    circuit::NetlistBuilder builder = filled;
+    state.ResumeTiming();
+    const circuit::Netlist nl = builder.build();
+    bytes = nl.flatBytes();
+    gates = nl.gateCount();
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["bytes_per_gate"] =
-      static_cast<double>(bytes) / static_cast<double>(nl.gateCount());
+      static_cast<double>(bytes) / static_cast<double>(gates);
 }
-BENCHMARK(BM_SoaMirror)
+BENCHMARK(BM_NetlistBuild)
     ->Arg(16000)
     ->Arg(100000)
     ->Arg(1000000)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The flat SoA timing core at scale: one full level-parallel STA pass per
-// iteration over a prebuilt mirror (items = gates/s). bytes_per_gate is
-// the arena footprint of the reusable engine — the memory-per-gate
-// acceptance number for the million-gate core.
+// The flat timing core at scale: one full level-parallel STA pass per
+// iteration over a built netlist (items = gates/s). bytes_per_gate is the
+// netlist's flat arrays plus the reusable engine's scratch — the
+// memory-per-gate acceptance number for the million-gate core.
 void BM_StaFull(benchmark::State& state) {
   const circuit::Netlist nl =
       makeScaledNetlist(static_cast<int>(state.range(0)));
-  const circuit::NetlistSoA soa(nl, {.keepCells = false});
-  sta::Sta engine(soa);
+  sta::Sta engine(nl);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.analyze().worstSlack);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["levels"] = static_cast<double>(soa.levelCount());
+  state.counters["levels"] = static_cast<double>(nl.levelCount());
   state.counters["bytes_per_gate"] =
-      static_cast<double>(engine.arenaBytes() + soa.arenaBytes()) /
+      static_cast<double>(engine.arenaBytes()) /
       static_cast<double>(nl.gateCount());
   state.counters["threads"] = exec::threadCount();
 }
-BENCHMARK(BM_StaFull)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StaFull)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DualVth(benchmark::State& state) {
   const circuit::Netlist nl = makeNetlist(static_cast<int>(state.range(0)));
@@ -123,7 +131,12 @@ void BM_DualVth(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["fraction_high_vth"] = r.fractionHighVth;
 }
-BENCHMARK(BM_DualVth)->Arg(500)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DualVth)
+    ->Arg(500)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Sizing(benchmark::State& state) {
   const circuit::Netlist nl = makeNetlist(static_cast<int>(state.range(0)));
@@ -213,7 +226,11 @@ void BM_Sweep(benchmark::State& state) {
                           state.range(0));
   state.counters["threads"] = exec::threadCount();
 }
-BENCHMARK(BM_Sweep)->Arg(15)->Arg(30)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sweep)
+    ->Arg(15)
+    ->Arg(30)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Power-grid solve at paper scale: subdivisions 8/32/128 on a 10x10-tile
 // waffle span ~25k to ~413k unknowns. The second argument selects the CG
@@ -258,6 +275,7 @@ BENCHMARK(BM_GridSolve)
     ->Args({32, 0})
     ->Args({32, 1})
     ->Args({128, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- nano::kernel batch micro-benchmarks (items = elements/s) ----------
@@ -456,7 +474,7 @@ void BM_SvcThroughput(benchmark::State& state) {
   state.counters["threads"] = exec::threadCount();
   state.counters["hit_rate"] = (hits + joins) / (hits + joins + misses);
 }
-BENCHMARK(BM_SvcThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvcThroughput)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Closed-loop scenario engine: one DTM run of Arg(0) steps over the
 // cached canonical plant. Items = integration steps/s; the plant build

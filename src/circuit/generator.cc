@@ -33,16 +33,28 @@ GeneratorConfig scaledConfig(int gates) {
   return c;
 }
 
-Netlist randomLogic(const Library& library, const GeneratorConfig& config,
-                    util::Rng& rng) {
+namespace {
+
+/// Build and check a generated netlist.
+Netlist finish(NetlistBuilder& nl) {
+  Netlist out = nl.build();
+  out.validate();
+  return out;
+}
+
+NetlistBuilder builderFor(const Library& library) {
+  const auto& node = library.characterizer().node();
+  return NetlistBuilder(defaultWireCapPerFanout(node),
+                        4.0 * library.smallestInverterInputCap());
+}
+
+/// Appends one randomLogic block to `nl` (its ids continue from the nodes
+/// already there) and marks the block's outputs.
+void appendRandomLogic(NetlistBuilder& nl, const Library& library,
+                       const GeneratorConfig& config, util::Rng& rng) {
   if (config.inputs < 1 || config.gates < config.depth || config.depth < 1) {
     throw std::invalid_argument("randomLogic: bad config");
   }
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
-  nl.reserve(config.inputs + config.gates);
-
   std::vector<std::vector<int>> byLevel(static_cast<std::size_t>(config.depth) + 1);
   for (int i = 0; i < config.inputs; ++i) byLevel[0].push_back(nl.addInput());
 
@@ -67,19 +79,21 @@ Netlist randomLogic(const Library& library, const GeneratorConfig& config,
   auto pickFrom = [&](const std::vector<int>& pool) {
     int choice = pool[static_cast<std::size_t>(
         rng.uniformInt(0, static_cast<int>(pool.size()) - 1))];
-    for (int attempt = 0; attempt < 3 && !nl.node(choice).fanouts.empty();
-         ++attempt) {
+    for (int attempt = 0; attempt < 3 && nl.hasFanouts(choice); ++attempt) {
       choice = pool[static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<int>(pool.size()) - 1))];
     }
     return choice;
   };
 
+  std::vector<int> gates;
+  gates.reserve(static_cast<std::size_t>(config.gates));
+  std::vector<int> fanins;
   for (int g = 0; g < config.gates; ++g) {
     const int level = levelOf[static_cast<std::size_t>(g)];
     const CellFunction fn = pickFunction(rng);
     const Cell& cell = library.pick(fn, 1.0);
-    std::vector<int> fanins;
+    fanins.clear();
     // First fanin from the previous level to realize the depth; remaining
     // fanins from any shallower level.
     fanins.push_back(pickFrom(byLevel[static_cast<std::size_t>(level - 1)]));
@@ -87,42 +101,53 @@ Netlist randomLogic(const Library& library, const GeneratorConfig& config,
       const int srcLevel = rng.uniformInt(0, level - 1);
       fanins.push_back(pickFrom(byLevel[static_cast<std::size_t>(srcLevel)]));
     }
-    const int id = nl.addGate(cell, std::move(fanins));
+    const int id = nl.addGate(cell, fanins);
     byLevel[static_cast<std::size_t>(level)].push_back(id);
+    gates.push_back(id);
   }
 
   // Outputs: a share tapped anywhere (short, slack-rich paths), the rest
   // from the deepest levels (critical endpoints). Dangling gates become
   // outputs too so no logic is dead.
-  const auto gates = nl.gateIds();
+  const std::size_t outputsBefore = nl.outputs().size();
+  const auto full = [&] {
+    return static_cast<int>(nl.outputs().size() - outputsBefore) >=
+           config.outputs;
+  };
   const int early = static_cast<int>(config.earlyOutputFraction * config.outputs);
   for (int i = 0; i < early; ++i) {
     nl.markOutput(gates[static_cast<std::size_t>(
         rng.uniformInt(0, static_cast<int>(gates.size()) - 1))]);
   }
-  for (int level = config.depth; level >= 1; --level) {
-    const auto& pool = byLevel[static_cast<std::size_t>(level)];
-    for (int id : pool) {
-      if (static_cast<int>(nl.outputs().size()) >= config.outputs) break;
+  for (int level = config.depth; level >= 1 && !full(); --level) {
+    for (int id : byLevel[static_cast<std::size_t>(level)]) {
+      if (full()) break;
       nl.markOutput(id);
     }
-    if (static_cast<int>(nl.outputs().size()) >= config.outputs) break;
   }
   for (int id : gates) {
-    if (nl.node(id).fanouts.empty()) nl.markOutput(id);
+    if (!nl.hasFanouts(id)) nl.markOutput(id);
   }
-  nl.validate();
-  return nl;
+}
+
+}  // namespace
+
+Netlist randomLogic(const Library& library, const GeneratorConfig& config,
+                    util::Rng& rng) {
+  NetlistBuilder nl = builderFor(library);
+  nl.reserve(config.inputs + config.gates);
+  appendRandomLogic(nl, library, config, rng);
+  return finish(nl);
 }
 
 Netlist pipelinedLogic(const Library& library, const GeneratorConfig& config,
                        util::Rng& rng, int blocks) {
   if (blocks < 1) throw std::invalid_argument("pipelinedLogic: blocks < 1");
-  const auto& node = library.characterizer().node();
-  Netlist out(defaultWireCapPerFanout(node),
-              4.0 * library.smallestInverterInputCap());
+  NetlistBuilder out = builderFor(library);
   out.reserve(config.inputs + config.gates);
 
+  // The blocks are appended one after another, so block-local node i is
+  // node (nodes before the block) + i of the union.
   const int minDepth = std::max(2, config.depth / 4);
   for (int b = 0; b < blocks; ++b) {
     GeneratorConfig sub = config;
@@ -132,36 +157,14 @@ Netlist pipelinedLogic(const Library& library, const GeneratorConfig& config,
     sub.gates = std::max(sub.depth + 4, config.gates / blocks);
     sub.inputs = std::max(4, config.inputs / blocks);
     sub.outputs = std::max(2, config.outputs / blocks);
-    const Netlist block = randomLogic(library, sub, rng);
-
-    // Splice the block into the union netlist.
-    std::vector<int> map(static_cast<std::size_t>(block.nodeCount()), -1);
-    for (int i = 0; i < block.nodeCount(); ++i) {
-      const auto& n = block.node(i);
-      if (n.kind == Netlist::NodeKind::PrimaryInput) {
-        map[static_cast<std::size_t>(i)] = out.addInput();
-      } else {
-        std::vector<int> fanins;
-        fanins.reserve(n.fanins.size());
-        for (int f : n.fanins) {
-          fanins.push_back(map[static_cast<std::size_t>(f)]);
-        }
-        map[static_cast<std::size_t>(i)] = out.addGate(n.cell, std::move(fanins));
-      }
-    }
-    for (int o : block.outputs()) {
-      out.markOutput(map[static_cast<std::size_t>(o)]);
-    }
+    appendRandomLogic(out, library, sub, rng);
   }
-  out.validate();
-  return out;
+  return finish(out);
 }
 
 Netlist rippleCarryAdder(const Library& library, int bits) {
   if (bits < 1) throw std::invalid_argument("rippleCarryAdder: bits < 1");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
+  NetlistBuilder nl = builderFor(library);
   const Cell& nand = library.pick(CellFunction::Nand2, 1.0);
 
   std::vector<int> a(static_cast<std::size_t>(bits));
@@ -187,15 +190,12 @@ Netlist rippleCarryAdder(const Library& library, int bits) {
     carry = cout;
   }
   nl.markOutput(carry);
-  nl.validate();
-  return nl;
+  return finish(nl);
 }
 
 Netlist koggeStoneAdder(const Library& library, int bits) {
   if (bits < 1) throw std::invalid_argument("koggeStoneAdder: bits < 1");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
+  NetlistBuilder nl = builderFor(library);
   const Cell& nand = library.pick(CellFunction::Nand2, 1.0);
   const Cell& inv = library.pick(CellFunction::Inv, 1.0);
   const Cell& xorc = library.pick(CellFunction::Xor2, 1.0);
@@ -256,15 +256,12 @@ Netlist koggeStoneAdder(const Library& library, int bits) {
     nl.markOutput(nl.addGate(xorc, {p[static_cast<std::size_t>(i)], carryIn}));
   }
   nl.markOutput(gPrefix[static_cast<std::size_t>(bits - 1)]);  // carry out
-  nl.validate();
-  return nl;
+  return finish(nl);
 }
 
 Netlist arrayMultiplier(const Library& library, int bits) {
   if (bits < 2) throw std::invalid_argument("arrayMultiplier: bits < 2");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
+  NetlistBuilder nl = builderFor(library);
   const Cell& nand = library.pick(CellFunction::Nand2, 1.0);
   const Cell& inv = library.pick(CellFunction::Inv, 1.0);
 
@@ -345,30 +342,24 @@ Netlist arrayMultiplier(const Library& library, int bits) {
       }
     }
   }
-  nl.validate();
-  return nl;
+  return finish(nl);
 }
 
 Netlist inverterChain(const Library& library, int length, double drive) {
   if (length < 1) throw std::invalid_argument("inverterChain: length < 1");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
+  NetlistBuilder nl = builderFor(library);
   const Cell& inv = library.pick(CellFunction::Inv, drive);
   int prev = nl.addInput();
   for (int i = 0; i < length; ++i) prev = nl.addGate(inv, {prev});
   nl.markOutput(prev);
-  nl.validate();
-  return nl;
+  return finish(nl);
 }
 
 Netlist bufferTree(const Library& library, int leaves, int branching) {
   if (leaves < 1 || branching < 2) {
     throw std::invalid_argument("bufferTree: bad shape");
   }
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
+  NetlistBuilder nl = builderFor(library);
   const Cell& buf = library.pick(CellFunction::Buf, 2.0);
   std::vector<int> frontier = {nl.addInput()};
   while (static_cast<int>(frontier.size()) < leaves) {
@@ -384,8 +375,7 @@ Netlist bufferTree(const Library& library, int leaves, int branching) {
   }
   frontier.resize(static_cast<std::size_t>(leaves));
   for (int id : frontier) nl.markOutput(id);
-  nl.validate();
-  return nl;
+  return finish(nl);
 }
 
 }  // namespace nano::circuit

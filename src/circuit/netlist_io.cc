@@ -62,7 +62,7 @@ Netlist readNetlist(std::istream& is, const Library& library) {
   std::string lineText;
   int lineNo = 0;
   bool haveHeader = false;
-  Netlist netlist;
+  NetlistBuilder netlist;
   std::map<int, int> idMap;  // file id -> in-memory id
 
   while (std::getline(is, lineText)) {
@@ -78,7 +78,7 @@ Netlist readNetlist(std::istream& is, const Library& library) {
           wirecapKw != "wirecap" || outloadKw != "outload") {
         fail(lineNo, "malformed header");
       }
-      netlist = Netlist(wirecap, outload);
+      netlist = NetlistBuilder(wirecap, outload);
       haveHeader = true;
     } else if (keyword == "input") {
       if (!haveHeader) fail(lineNo, "input before header");
@@ -108,7 +108,7 @@ Netlist readNetlist(std::istream& is, const Library& library) {
         fanins.push_back(it->second);
       }
       const Cell cell = library.generateCustom(fn, drive, vth, dom);
-      idMap[id] = netlist.addGate(cell, std::move(fanins));
+      idMap[id] = netlist.addGate(cell, fanins);
     } else if (keyword == "output") {
       int id = -1;
       if (!(line >> id)) fail(lineNo, "malformed output");
@@ -120,8 +120,9 @@ Netlist readNetlist(std::istream& is, const Library& library) {
     }
   }
   if (!haveHeader) throw std::runtime_error("netlist parse: empty input");
-  netlist.validate();
-  return netlist;
+  Netlist built = netlist.build();
+  built.validate();
+  return built;
 }
 
 }  // namespace nano::circuit

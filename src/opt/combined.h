@@ -37,7 +37,7 @@ struct FlowStageResult {
 };
 
 struct FlowResult {
-  circuit::Netlist netlist{0.0, 0.0};
+  circuit::Netlist netlist;
   power::PowerBreakdown powerBefore;
   sta::TimingResult timingBefore;
   std::vector<FlowStageResult> stages;

@@ -34,7 +34,7 @@ struct CvsOptions {
 
 /// CVS outcome.
 struct CvsResult {
-  circuit::Netlist netlist{0.0, 0.0};  ///< assigned + converters inserted
+  circuit::Netlist netlist;  ///< assigned + converters inserted
   double fractionLowVdd = 0.0;         ///< of original gates
   int convertersAdded = 0;
   power::PowerBreakdown powerBefore;

@@ -20,7 +20,7 @@ struct DualVthOptions {
 };
 
 struct DualVthResult {
-  circuit::Netlist netlist{0.0, 0.0};
+  circuit::Netlist netlist;
   double fractionHighVth = 0.0;
   power::PowerBreakdown powerBefore;
   power::PowerBreakdown powerAfter;

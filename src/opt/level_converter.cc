@@ -12,7 +12,7 @@ ConversionReport insertLevelConverters(const Netlist& src,
                                        const circuit::Library& library,
                                        bool convertAtOutputs) {
   ConversionReport rep;
-  rep.netlist = Netlist(src.wireCapPerFanout(), src.outputLoadCap());
+  circuit::NetlistBuilder built(src.wireCapPerFanout(), src.outputLoadCap());
   rep.nodeMap.assign(static_cast<std::size_t>(src.nodeCount()), -1);
   // Lazily created converter per low-domain driver (new-id space).
   std::vector<int> converterOf(static_cast<std::size_t>(src.nodeCount()), -1);
@@ -29,8 +29,7 @@ ConversionReport insertLevelConverters(const Netlist& src,
                                             circuit::VthClass::Low,
                                             VddDomain::High);
       const int mapped = rep.nodeMap[static_cast<std::size_t>(srcId)];
-      converterOf[static_cast<std::size_t>(srcId)] =
-          rep.netlist.addGate(lc, {mapped});
+      converterOf[static_cast<std::size_t>(srcId)] = built.addGate(lc, {mapped});
       ++rep.convertersAdded;
     }
     return converterOf[static_cast<std::size_t>(srcId)];
@@ -39,7 +38,7 @@ ConversionReport insertLevelConverters(const Netlist& src,
   for (int i = 0; i < src.nodeCount(); ++i) {
     const auto& n = src.node(i);
     if (n.kind == Netlist::NodeKind::PrimaryInput) {
-      rep.nodeMap[static_cast<std::size_t>(i)] = rep.netlist.addInput();
+      rep.nodeMap[static_cast<std::size_t>(i)] = built.addInput();
       continue;
     }
     const bool sinkIsHigh = n.cell.vddDomain == VddDomain::High;
@@ -53,8 +52,7 @@ ConversionReport insertLevelConverters(const Netlist& src,
                            ? converterFor(f)
                            : rep.nodeMap[static_cast<std::size_t>(f)]);
     }
-    rep.nodeMap[static_cast<std::size_t>(i)] =
-        rep.netlist.addGate(n.cell, std::move(fanins));
+    rep.nodeMap[static_cast<std::size_t>(i)] = built.addGate(n.cell, fanins);
   }
 
   for (int out : src.outputs()) {
@@ -62,8 +60,9 @@ ConversionReport insertLevelConverters(const Netlist& src,
     if (convertAtOutputs && isLowGate(out)) {
       mapped = converterFor(out);
     }
-    rep.netlist.markOutput(mapped);
+    built.markOutput(mapped);
   }
+  rep.netlist = built.build();
   rep.netlist.validate();
   if (!rep.netlist.vddViolations().empty()) {
     throw std::logic_error("insertLevelConverters: violations remain");

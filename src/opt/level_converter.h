@@ -11,7 +11,7 @@ namespace nano::opt {
 
 /// Result of conversion insertion.
 struct ConversionReport {
-  circuit::Netlist netlist{0.0, 0.0};
+  circuit::Netlist netlist;
   int convertersAdded = 0;
   /// Map from source node id to rebuilt node id.
   std::vector<int> nodeMap;

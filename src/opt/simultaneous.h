@@ -24,7 +24,7 @@ struct SimultaneousOptions {
 };
 
 struct SimultaneousResult {
-  circuit::Netlist netlist{0.0, 0.0};
+  circuit::Netlist netlist;
   power::PowerBreakdown powerBefore;
   power::PowerBreakdown powerAfter;
   sta::TimingResult timingBefore;

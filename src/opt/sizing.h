@@ -23,7 +23,7 @@ struct SizingOptions {
 };
 
 struct SizingResult {
-  circuit::Netlist netlist{0.0, 0.0};
+  circuit::Netlist netlist;
   power::PowerBreakdown powerBefore;
   power::PowerBreakdown powerAfter;
   sta::TimingResult timingBefore;

@@ -6,7 +6,6 @@
 
 #include "circuit/generator.h"
 #include "circuit/library.h"
-#include "circuit/netlist_soa.h"
 #include "device/gate_model.h"
 #include "device/mosfet.h"
 #include "obs/obs.h"
@@ -71,8 +70,7 @@ Plant::Plant(const PlantConfig& config)
     const circuit::GeneratorConfig cfg = circuit::scaledConfig(config.gates);
     const circuit::Netlist netlist =
         circuit::pipelinedLogic(library, cfg, rng, config.blocks);
-    const circuit::NetlistSoA soa(netlist, {.keepCells = false});
-    const sta::TimingResult timing = sta::analyze(soa);
+    const sta::TimingResult timing = sta::analyze(netlist);
     clockPeriod_ = timing.criticalPathDelay;
     gateCount_ = netlist.gateCount();
     endpointCount_ = static_cast<int>(netlist.outputs().size());

@@ -60,7 +60,6 @@ IncrementalSta::IncrementalSta(Netlist& netlist, const TimingResult& seed,
     throw std::invalid_argument(
         "IncrementalSta: seed result does not cover the netlist");
   }
-  soa_.rebuild(*netlist_, {.keepCells = false});
   bindState(seed.arrival, seed.required, seed.slack);
 }
 
@@ -68,9 +67,15 @@ void IncrementalSta::rebuild() {
   if (pending_) {
     throw std::logic_error("IncrementalSta::rebuild: trial pending");
   }
-  if (converters_) requireNoViolations();
-  soa_.rebuild(*netlist_, {.keepCells = false});
-  TimingResult r = analyze(soa_, clock_ > 0 ? clock_ : -1.0);
+  if (converters_) {
+    requireNoViolations();
+    // Time the unconverted netlist; the converters come back below, one
+    // committed trial each.
+    for (const int o : netlist_->outputs()) {
+      netlist_->clearEndpointConverter(o);
+    }
+  }
+  TimingResult r = analyze(*netlist_, clock_ > 0 ? clock_ : -1.0);
   clock_ = r.clockPeriod;  // resolved to the critical delay when <= 0
   bindState(std::move(r.arrival), std::move(r.required), std::move(r.slack));
   if (converters_) applyDueConverters();
@@ -101,11 +106,11 @@ void IncrementalSta::requireNoViolations() const {
 }
 
 void IncrementalSta::applyDueConverters() {
-  for (const std::uint32_t o : soa_.outputs()) {
-    if (!soa_.isGate(o) || soa_.hasEndpointConverter(o)) continue;
-    const circuit::Cell& cell = netlist_->node(static_cast<int>(o)).cell;
+  for (const int o : netlist_->outputs()) {
+    if (!netlist_->isGate(o) || netlist_->hasEndpointConverter(o)) continue;
+    const circuit::Cell& cell = netlist_->cell(o);
     if (!isLowLogic(cell)) continue;
-    trial(static_cast<int>(o), cell);
+    trial(o, cell);
     commit();
   }
 }
@@ -129,9 +134,10 @@ void IncrementalSta::bindState(std::vector<double> arrival,
 
 int IncrementalSta::countFailing() const {
   int failing = 0;
-  for (const std::uint32_t o : soa_.outputs()) {
-    if (endpointFails(static_cast<int>(o), arrival_[o], slack_[o],
-                      soa_.hasEndpointConverter(o))) {
+  for (const int o : netlist_->outputs()) {
+    const auto i = static_cast<std::size_t>(o);
+    if (endpointFails(o, arrival_[i], slack_[i],
+                      netlist_->hasEndpointConverter(o))) {
       ++failing;
     }
   }
@@ -148,32 +154,30 @@ bool IncrementalSta::endpointFails(int id, double arrival, double slack,
     return clock_ - (worst + converterDelay_) <
            -converterDelay_ - kTolerance;
   }
-  const auto u = static_cast<std::uint32_t>(id);
-  const bool capture = converters_ && soa_.isGate(u) &&
-                       netlist_->node(id).cell.function ==
-                           CellFunction::LevelConverter;
+  const bool capture =
+      converters_ && netlist_->isGate(id) &&
+      netlist_->cell(id).function == CellFunction::LevelConverter;
   const double allowance = capture ? converterDelay_ : 0.0;
   return slack < -allowance - kTolerance;
 }
 
 double IncrementalSta::recomputeArrival(int id) const {
-  const auto u = static_cast<std::uint32_t>(id);
-  if (!soa_.isGate(u)) return 0.0;
+  if (!netlist_->isGate(id)) return 0.0;
   // Same clamp-at-zero max as sta::analyze's forward pass.
   double worst = 0.0;
-  for (const std::uint32_t f : soa_.fanins(u)) {
-    const double a = arrival_[f];
+  for (const int f : netlist_->fanins(id)) {
+    const double a = arrival_[static_cast<std::size_t>(f)];
     if (a >= worst) worst = a;
   }
-  return worst + soa_.gateDelay(u);
+  return worst + netlist_->gateDelay(id);
 }
 
 double IncrementalSta::recomputeRequired(int id) const {
-  const auto u = static_cast<std::uint32_t>(id);
-  const bool converted = soa_.hasEndpointConverter(u);
-  double req = soa_.isOutput(u) && !converted ? clock_ : kInf;
-  for (const std::uint32_t fo : soa_.fanouts(u)) {
-    req = std::min(req, required_[fo] - soa_.gateDelay(fo));
+  const bool converted = netlist_->hasEndpointConverter(id);
+  double req = netlist_->isOutput(id) && !converted ? clock_ : kInf;
+  for (const int fo : netlist_->fanouts(id)) {
+    req = std::min(req, required_[static_cast<std::size_t>(fo)] -
+                            netlist_->gateDelay(fo));
   }
   // The endpoint converter is the last fanout, required at the clock.
   if (converted) req = std::min(req, clock_ - converterDelay_);
@@ -182,8 +186,8 @@ double IncrementalSta::recomputeRequired(int id) const {
 
 double IncrementalSta::worstSlack() const {
   double worst = kInf;
-  for (const std::uint32_t id : soa_.outputs()) {
-    worst = std::min(worst, slack_[id]);
+  for (const int id : netlist_->outputs()) {
+    worst = std::min(worst, slack_[static_cast<std::size_t>(id)]);
   }
   return worst;
 }
@@ -202,24 +206,19 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
         "IncrementalSta::trial: a trial is already pending; commit or "
         "rollback first");
   }
-  const auto& node = netlist_->node(gate);
-  if (node.kind != Netlist::NodeKind::Gate) {
+  if (gate < 0 || gate >= netlist_->nodeCount() || !netlist_->isGate(gate)) {
     throw std::invalid_argument("IncrementalSta::trial: not a gate");
   }
-  const auto g = static_cast<std::uint32_t>(gate);
   bool toggle = false;
   if (converters_) {
     checkDomains(gate, cell);
-    toggle = soa_.isOutput(g) &&
-             isLowLogic(cell) != soa_.hasEndpointConverter(g);
+    toggle = netlist_->isOutput(gate) &&
+             isLowLogic(cell) != netlist_->hasEndpointConverter(gate);
   }
 
-  // Object netlist first (replaceCell validates the swap and throws
-  // before mutating), then the mirror — both refresh the fanin load caps
-  // with the same summation order, so they stay bit-identical.
-  savedCell_ = node.cell;
-  netlist_->replaceCell(gate, cell);
-  soa_.setCell(g, cell);
+  // replaceCell validates the swap and throws before mutating.
+  savedCell_ = netlist_->cell(gate);
+  netlist_->replaceCell(gate, std::move(cell));
   pending_ = true;
   pendingGate_ = gate;
   converterToggled_ = toggle;
@@ -234,8 +233,8 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
   // Delay changes at the swapped gate and at its fanin drivers, whose
   // load includes the swapped cell's input cap.
   delayChanged_.clear();
-  for (const std::uint32_t f : soa_.fanins(g)) {
-    if (soa_.isGate(f)) delayChanged_.push_back(static_cast<int>(f));
+  for (const int f : netlist_->fanins(gate)) {
+    if (netlist_->isGate(f)) delayChanged_.push_back(f);
   }
   delayChanged_.push_back(gate);
 
@@ -244,7 +243,7 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
   // endpoint check is redone.
   if (toggle) {
     save(gate);
-    setConverter(g, !soa_.hasEndpointConverter(g));
+    setConverter(gate, !netlist_->hasEndpointConverter(gate));
   }
   const std::int64_t before = repropagated_;
   propagateDelayChange(toggle ? gate : -1);
@@ -253,30 +252,28 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
 }
 
 void IncrementalSta::checkDomains(int gate, const circuit::Cell& cell) const {
-  const auto& node = netlist_->node(gate);
   if (isLowLogic(cell)) {
-    for (int fo : node.fanouts) {
-      const auto& sink = netlist_->node(fo).cell;
+    for (const int fo : netlist_->fanouts(gate)) {
+      const circuit::Cell& sink = netlist_->cell(fo);
       if (sink.vddDomain == VddDomain::High &&
           sink.function != CellFunction::LevelConverter) {
         throwCrossing("IncrementalSta::trial", gate);
       }
     }
   } else if (cell.function != CellFunction::LevelConverter) {
-    for (int f : node.fanins) {
-      const auto& driver = netlist_->node(f);
-      if (driver.kind == Netlist::NodeKind::Gate && isLowLogic(driver.cell)) {
+    for (const int f : netlist_->fanins(gate)) {
+      if (netlist_->isGate(f) && isLowLogic(netlist_->cell(f))) {
         throwCrossing("IncrementalSta::trial", f);
       }
     }
   }
 }
 
-void IncrementalSta::setConverter(std::uint32_t gate, bool on) {
+void IncrementalSta::setConverter(int gate, bool on) {
   if (on) {
-    soa_.setEndpointConverter(gate, converterInputCap_);
+    netlist_->setEndpointConverter(gate, converterInputCap_);
   } else {
-    soa_.clearEndpointConverter(gate);
+    netlist_->clearEndpointConverter(gate);
   }
 }
 
@@ -313,10 +310,7 @@ void IncrementalSta::propagateDelayChange(int requiredChanged) {
     if (std::abs(updated - old) > epsilon_) {
       save(id);
       arrival_[static_cast<std::size_t>(id)] = updated;
-      for (const std::uint32_t fo :
-           soa_.fanouts(static_cast<std::uint32_t>(id))) {
-        pushForward(static_cast<int>(fo));
-      }
+      for (const int fo : netlist_->fanouts(id)) pushForward(fo);
     }
   }
 
@@ -333,10 +327,8 @@ void IncrementalSta::propagateDelayChange(int requiredChanged) {
     std::push_heap(heap_.begin(), heap_.end());
   };
   if (requiredChanged >= 0) pushBackward(requiredChanged);
-  for (int d : delayChanged_) {
-    for (const std::uint32_t f : soa_.fanins(static_cast<std::uint32_t>(d))) {
-      pushBackward(static_cast<int>(f));
-    }
+  for (const int d : delayChanged_) {
+    for (const int f : netlist_->fanins(d)) pushBackward(f);
   }
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end());
@@ -352,10 +344,7 @@ void IncrementalSta::propagateDelayChange(int requiredChanged) {
     if (changed) {
       save(id);
       required_[static_cast<std::size_t>(id)] = updated;
-      for (const std::uint32_t f :
-           soa_.fanins(static_cast<std::uint32_t>(id))) {
-        pushBackward(static_cast<int>(f));
-      }
+      for (const int f : netlist_->fanins(id)) pushBackward(f);
     }
   }
 
@@ -364,9 +353,8 @@ void IncrementalSta::propagateDelayChange(int requiredChanged) {
   for (const Saved& s : journal_) {
     const auto i = static_cast<std::size_t>(s.id);
     slack_[i] = (required_[i] == kInf) ? clock_ : required_[i] - arrival_[i];
-    if (!soa_.isOutput(static_cast<std::uint32_t>(s.id))) continue;
-    const bool converted =
-        soa_.hasEndpointConverter(static_cast<std::uint32_t>(s.id));
+    if (!netlist_->isOutput(s.id)) continue;
+    const bool converted = netlist_->hasEndpointConverter(s.id);
     const bool wasConverted =
         converterToggled_ && s.id == pendingGate_ ? !converted : converted;
     failing_ += static_cast<int>(
@@ -389,12 +377,11 @@ void IncrementalSta::rollback() {
   if (!pending_) {
     throw std::logic_error("IncrementalSta::rollback: no pending trial");
   }
-  // Restoring the cell also restores both load-cap caches (same recompute
-  // path), so engine, mirror and netlist rewind together.
-  const auto g = static_cast<std::uint32_t>(pendingGate_);
-  netlist_->replaceCell(pendingGate_, savedCell_);
-  soa_.setCell(g, savedCell_);
-  if (converterToggled_) setConverter(g, !soa_.hasEndpointConverter(g));
+  // Restoring the cell also restores the fanin load caps (same recompute
+  // path, same summation order).
+  const int g = pendingGate_;
+  netlist_->replaceCell(g, std::move(savedCell_));
+  if (converterToggled_) setConverter(g, !netlist_->hasEndpointConverter(g));
   for (const Saved& s : journal_) {
     const auto i = static_cast<std::size_t>(s.id);
     arrival_[i] = s.arrival;
@@ -417,24 +404,23 @@ std::vector<int> IncrementalSta::criticalPath() const {
   // and among fanins, walk stops at a primary input.
   double critical = 0.0;
   int end = -1;
-  for (const std::uint32_t id : soa_.outputs()) {
-    if (arrival_[id] >= critical) {
-      critical = arrival_[id];
-      end = static_cast<int>(id);
+  for (const int id : netlist_->outputs()) {
+    if (arrival_[static_cast<std::size_t>(id)] >= critical) {
+      critical = arrival_[static_cast<std::size_t>(id)];
+      end = id;
     }
   }
   std::vector<int> path;
   if (end < 0) return path;
   for (int cur = end; cur >= 0;) {
     path.push_back(cur);
-    const auto u = static_cast<std::uint32_t>(cur);
-    if (!soa_.isGate(u)) break;
+    if (!netlist_->isGate(cur)) break;
     double worst = 0.0;
     int worstId = -1;
-    for (const std::uint32_t f : soa_.fanins(u)) {
-      if (arrival_[f] >= worst) {
-        worst = arrival_[f];
-        worstId = static_cast<int>(f);
+    for (const int f : netlist_->fanins(cur)) {
+      if (arrival_[static_cast<std::size_t>(f)] >= worst) {
+        worst = arrival_[static_cast<std::size_t>(f)];
+        worstId = f;
       }
     }
     cur = worstId;
@@ -450,8 +436,8 @@ TimingResult IncrementalSta::exportResult() const {
   r.required = required_;
   r.slack = slack_;
   double critical = 0.0;
-  for (const std::uint32_t id : soa_.outputs()) {
-    critical = std::max(critical, arrival_[id]);
+  for (const int id : netlist_->outputs()) {
+    critical = std::max(critical, arrival_[static_cast<std::size_t>(id)]);
   }
   r.criticalPathDelay = critical;
   r.worstSlack = worstSlack();

@@ -9,12 +9,11 @@
 // sta::analyze — the difference between O(n^2) and near-O(n) optimizer
 // passes (paper Sections 2.3-3.3).
 //
-// Storage: the engine mirrors the netlist into a cell-less NetlistSoA at
-// construction/rebuild and walks flat CSR adjacency + delay-parameter
-// arrays during trials — no per-node pointer chasing — while every cell
-// swap is applied to the object netlist and the mirror in lockstep.
-// Steady-state trials allocate nothing: the worklist, journal and epoch
-// arrays persist across trials and the mirror lives in an arena.
+// Storage: the engine walks the netlist's own flat CSR adjacency and
+// delay-operand arrays, and applies every cell swap to the netlist
+// (Netlist::replaceCell keeps its load-cap cache exact). Steady-state
+// trials allocate nothing but the swapped cell's copy: the worklist,
+// journal and epoch arrays persist across trials.
 //
 // Every per-node recomputation uses the same operations and summation
 // order as sta::analyze, and the default epsilon of 0 terminates on exact
@@ -48,7 +47,6 @@
 #include <vector>
 
 #include "circuit/netlist.h"
-#include "circuit/netlist_soa.h"
 #include "sta/sta.h"
 
 namespace nano::sta {
@@ -94,11 +92,14 @@ class IncrementalSta {
   /// gets its converter now, one committed trial each. Per-node values
   /// then describe each node of the converted netlist (converter nodes
   /// have none of their own; worstSlack() and exportResult() still read
-  /// the original endpoints). Throws std::invalid_argument if some Vdd,l
-  /// gate drives a Vdd,h gate that is not a converter.
+  /// the original endpoints). The converters are set on the netlist's
+  /// load-cap hook (Netlist::setEndpointConverter), so the bound netlist
+  /// times as the converted one from then on: give the engine a netlist
+  /// of its own. Throws std::invalid_argument if some Vdd,l gate drives a
+  /// Vdd,h gate that is not a converter.
   void enableEndpointConverters(const circuit::Cell& converter);
   [[nodiscard]] bool hasEndpointConverter(int id) const {
-    return soa_.hasEndpointConverter(static_cast<std::uint32_t>(id));
+    return netlist_->hasEndpointConverter(id);
   }
   /// Endpoints failing their check (slack below minus the allowance, less
   /// 1e-15: the converter allowance above, 0 otherwise). Kept up to date
@@ -126,7 +127,7 @@ class IncrementalSta {
   [[nodiscard]] TimingResult exportResult() const;
 
   /// Recompute everything from scratch (after netlist edits that bypassed
-  /// the engine, e.g. structural changes). Reuses the SoA mirror's arena.
+  /// the engine, e.g. an assignment of a new netlist).
   void rebuild();
 
   /// Nodes repropagated over this engine's lifetime — the incremental
@@ -150,7 +151,7 @@ class IncrementalSta {
   [[nodiscard]] bool endpointFails(int id, double arrival, double slack,
                                    bool converted) const;
   [[nodiscard]] int countFailing() const;
-  void setConverter(std::uint32_t gate, bool on);
+  void setConverter(int gate, bool on);
   /// Throws std::invalid_argument naming the first Vdd,l gate that
   /// drives a Vdd,h gate other than a converter.
   void requireNoViolations() const;
@@ -158,7 +159,6 @@ class IncrementalSta {
   void applyDueConverters();
 
   circuit::Netlist* netlist_;
-  circuit::NetlistSoA soa_;  ///< cell-less flat mirror, arena-backed
   double clock_ = 0.0;
   double epsilon_ = 0.0;
   std::vector<double> arrival_;

@@ -10,7 +10,6 @@
 namespace nano::sta {
 
 using circuit::Netlist;
-using circuit::NetlistSoA;
 
 namespace {
 
@@ -24,12 +23,13 @@ constexpr std::size_t kParallelLevelThreshold = 1024;
 
 const TimingResult& Sta::analyze(double clockPeriod) {
   NANO_OBS_SPAN("sta/analyze");
-  const NetlistSoA& soa = *soa_;
-  const std::size_t n = soa.nodeCount();
+  const Netlist& nl = *netlist_;
+  const std::size_t n = static_cast<std::size_t>(nl.nodeCount());
   NANO_OBS_COUNT("sta/analyze_calls", 1);
   NANO_OBS_COUNT("sta/nodes_timed", static_cast<std::int64_t>(n));
 
-  // The bound SoA may have been rebuilt bigger since the last call; the
+  // The bound netlist may have been replaced by a bigger one since the
+  // last call; the
   // scratch only ever grows, so re-analysis at or below the high-water
   // node count stays allocation-free.
   if (worstFanin_ == nullptr || n > worstFaninCapacity_) {
@@ -42,44 +42,44 @@ const TimingResult& Sta::analyze(double clockPeriod) {
   result_.slack.assign(n, 0.0);
   result_.criticalPath.clear();
 
-  ctx_.soa = &soa;
-  ctx_.order = soa.order().data();
+  ctx_.netlist = &nl;
+  ctx_.order = nl.order().data();
   ctx_.arrival = result_.arrival.data();
   ctx_.required = result_.required.data();
   ctx_.slack = result_.slack.data();
   ctx_.worstFanin = worstFanin_;
   SweepCtx* const ctx = &ctx_;
 
-  const auto levelOffsets = soa.levelOffsets();
-  const std::uint32_t levels = soa.levelCount();
+  const auto levelOffsets = nl.levelOffsets();
+  const int levels = nl.levelCount();
 
   // Forward pass, level by level: a node's arrival reads only strictly
   // shallower levels, so the nodes of one level are independent. The
   // per-node arithmetic (fanin order, >= tie-break, delay expression) is
   // exactly the historical object-walking loop's.
   const auto forwardRange = [ctx](std::size_t b, std::size_t e) {
-    const NetlistSoA& s = *ctx->soa;
+    const Netlist& s = *ctx->netlist;
     for (std::size_t k = b; k < e; ++k) {
-      const std::uint32_t id = ctx->order[ctx->base + k];
+      const int id = ctx->order[ctx->base + k];
       if (!s.isGate(id)) {
         ctx->worstFanin[id] = -1;
         continue;
       }
       double worst = 0.0;
       std::int32_t worstId = -1;
-      for (const std::uint32_t f : s.fanins(id)) {
+      for (const int f : s.fanins(id)) {
         if (ctx->arrival[f] >= worst) {
           worst = ctx->arrival[f];
-          worstId = static_cast<std::int32_t>(f);
+          worstId = f;
         }
       }
       ctx->arrival[id] = worst + s.gateDelay(id);
       ctx->worstFanin[id] = worstId;
     }
   };
-  for (std::uint32_t l = 0; l < levels; ++l) {
-    const std::size_t begin = levelOffsets[l];
-    const std::size_t count = levelOffsets[l + 1] - begin;
+  for (int l = 0; l < levels; ++l) {
+    const auto begin = static_cast<std::size_t>(levelOffsets[l]);
+    const auto count = static_cast<std::size_t>(levelOffsets[l + 1]) - begin;
     ctx_.base = begin;
     if (count >= kParallelLevelThreshold) {
       exec::parallelForBlocked(count, forwardRange);
@@ -92,10 +92,10 @@ const TimingResult& Sta::analyze(double clockPeriod) {
   // object netlist; last maximum wins, as before).
   double critical = 0.0;
   std::int32_t criticalEnd = -1;
-  for (const std::uint32_t id : soa.outputs()) {
+  for (const int id : nl.outputs()) {
     if (result_.arrival[id] >= critical) {
       critical = result_.arrival[id];
-      criticalEnd = static_cast<std::int32_t>(id);
+      criticalEnd = id;
     }
   }
   result_.criticalPathDelay = critical;
@@ -107,19 +107,19 @@ const TimingResult& Sta::analyze(double clockPeriod) {
   // re-expressed as a gather; min over doubles is exact, so the result is
   // bit-identical regardless of accumulation order.
   const auto backwardRange = [ctx](std::size_t b, std::size_t e) {
-    const NetlistSoA& s = *ctx->soa;
+    const Netlist& s = *ctx->netlist;
     for (std::size_t k = b; k < e; ++k) {
-      const std::uint32_t id = ctx->order[ctx->base + k];
+      const int id = ctx->order[ctx->base + k];
       double req = s.isOutput(id) ? ctx->clock : kInf;
-      for (const std::uint32_t fo : s.fanouts(id)) {
+      for (const int fo : s.fanouts(id)) {
         req = std::min(req, ctx->required[fo] - s.gateDelay(fo));
       }
       ctx->required[id] = req;
     }
   };
-  for (std::uint32_t l = levels; l-- > 0;) {
-    const std::size_t begin = levelOffsets[l];
-    const std::size_t count = levelOffsets[l + 1] - begin;
+  for (int l = levels; l-- > 0;) {
+    const auto begin = static_cast<std::size_t>(levelOffsets[l]);
+    const auto count = static_cast<std::size_t>(levelOffsets[l + 1]) - begin;
     ctx_.base = begin;
     if (count >= kParallelLevelThreshold) {
       exec::parallelForBlocked(count, backwardRange);
@@ -143,14 +143,13 @@ const TimingResult& Sta::analyze(double clockPeriod) {
 
   // Worst endpoint slack and critical path extraction.
   result_.worstSlack = kInf;
-  for (const std::uint32_t id : soa.outputs()) {
+  for (const int id : nl.outputs()) {
     result_.worstSlack = std::min(result_.worstSlack, result_.slack[id]);
   }
   if (criticalEnd >= 0) {
-    for (std::int32_t cur = criticalEnd; cur >= 0;
-         cur = worstFanin_[static_cast<std::uint32_t>(cur)]) {
+    for (std::int32_t cur = criticalEnd; cur >= 0; cur = worstFanin_[cur]) {
       result_.criticalPath.push_back(cur);
-      if (!soa.isGate(static_cast<std::uint32_t>(cur))) break;
+      if (!nl.isGate(cur)) break;
     }
     std::reverse(result_.criticalPath.begin(), result_.criticalPath.end());
   }
@@ -159,15 +158,10 @@ const TimingResult& Sta::analyze(double clockPeriod) {
   return result_;
 }
 
-TimingResult analyze(const NetlistSoA& soa, double clockPeriod) {
-  Sta engine(soa);
+TimingResult analyze(const Netlist& netlist, double clockPeriod) {
+  Sta engine(netlist);
   engine.analyze(clockPeriod);
   return engine.takeResult();
-}
-
-TimingResult analyze(const Netlist& netlist, double clockPeriod) {
-  const NetlistSoA soa(netlist, {.keepCells = false});
-  return analyze(soa, clockPeriod);
 }
 
 std::vector<double> endpointArrivals(const Netlist& netlist) {

@@ -3,14 +3,12 @@
 // multi-Vdd argument rests on ("over half of all timing paths commonly use
 // less than half the clock cycle").
 //
-// The engine sweeps the flat circuit::NetlistSoA arrays level by level —
+// The engine sweeps the netlist's flat arrays along its level schedule:
 // every node of a level depends only on strictly earlier (forward) or
 // strictly later (backward) levels, so each level runs data-parallel
 // through exec::parallelForBlocked with bit-identical results at any lane
-// count. The object-netlist overloads are thin wrappers that mirror into
-// SoA form first and move the engine's result out (no copy of the
-// per-node vectors); their results are bit-identical to the historical
-// pointer-walking implementation.
+// count, and bit-identical to the historical pointer-walking
+// implementation.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +17,6 @@
 #include <vector>
 
 #include "circuit/netlist.h"
-#include "circuit/netlist_soa.h"
 #include "util/arena.h"
 #include "util/stats.h"
 
@@ -40,16 +37,17 @@ struct TimingResult {
   }
 };
 
-/// Reusable full-analysis engine over a NetlistSoA. Binds by reference;
-/// the caller keeps the SoA alive, and may rebuild() it in place to any
-/// size between calls. All working storage (the level-sweep scratch and
-/// the TimingResult buffers) is allocated on the first analyze() — or the
-/// first one after the SoA outgrows it — and reused afterwards, so
+/// Reusable full-analysis engine over a Netlist. Binds by reference; the
+/// caller keeps the netlist alive, and may swap cells or assign it a
+/// netlist of any size between calls. All working storage (the
+/// level-sweep scratch and the TimingResult buffers) is allocated on the
+/// first analyze() — or the first one after the netlist outgrows it — and
+/// reused afterwards, so
 /// steady-state re-analysis performs zero heap allocations
 /// (arenaGrowthCount() is the proof the scale smoke test asserts on).
 class Sta {
  public:
-  explicit Sta(const circuit::NetlistSoA& soa) : soa_(&soa) {}
+  explicit Sta(const circuit::Netlist& netlist) : netlist_(&netlist) {}
 
   /// Analyze against `clockPeriod`; pass <= 0 to time against the
   /// circuit's own critical-path delay (zero worst slack). Returns the
@@ -68,16 +66,17 @@ class Sta {
   [[nodiscard]] std::int64_t arenaGrowthCount() const {
     return arena_.growthCount();
   }
-  /// Flat-core working set: the bound SoA's arrays plus this engine's
-  /// scratch, bytes. Also exported as the `sta/arena_bytes` gauge.
+  /// Flat-core working set: the bound netlist's arrays plus this
+  /// engine's scratch, bytes. Also exported as the `sta/arena_bytes`
+  /// gauge.
   [[nodiscard]] std::size_t arenaBytes() const {
-    return soa_->arenaBytes() + arena_.bytesUsed();
+    return netlist_->flatBytes() + arena_.bytesUsed();
   }
 
  private:
   struct SweepCtx {
-    const circuit::NetlistSoA* soa = nullptr;
-    const std::uint32_t* order = nullptr;
+    const circuit::Netlist* netlist = nullptr;
+    const int* order = nullptr;
     double* arrival = nullptr;
     double* required = nullptr;
     double* slack = nullptr;
@@ -86,7 +85,7 @@ class Sta {
     double clock = 0.0;
   };
 
-  const circuit::NetlistSoA* soa_;
+  const circuit::Netlist* netlist_;
   util::Arena arena_;
   std::int32_t* worstFanin_ = nullptr;
   std::size_t worstFaninCapacity_ = 0;  ///< nodes worstFanin_ can hold
@@ -94,13 +93,9 @@ class Sta {
   TimingResult result_;
 };
 
-/// One-shot analysis of a NetlistSoA.
-TimingResult analyze(const circuit::NetlistSoA& soa, double clockPeriod = -1.0);
-
-/// Analyze `netlist` against `clockPeriod` (object-API wrapper: mirrors
-/// into a NetlistSoA and runs the flat engine; bit-identical results).
-/// Pass clockPeriod <= 0 to time against the circuit's own critical-path
-/// delay (zero worst slack).
+/// One-shot analysis of `netlist` against `clockPeriod` (a Sta whose
+/// result is moved out). Pass clockPeriod <= 0 to time against the
+/// circuit's own critical-path delay (zero worst slack).
 TimingResult analyze(const circuit::Netlist& netlist, double clockPeriod = -1.0);
 
 /// Arrival times at the endpoints (primary outputs), s.

@@ -5,7 +5,6 @@
 
 #include "circuit/generator.h"
 #include "circuit/library.h"
-#include "circuit/netlist_soa.h"
 #include "core/analysis.h"
 #include "core/design_space.h"
 #include "core/experiments.h"
@@ -283,14 +282,13 @@ JsonValue evalSta(const StaParams& p) {
   const circuit::GeneratorConfig cfg = circuit::scaledConfig(p.gates);
   const circuit::Netlist netlist =
       circuit::pipelinedLogic(library, cfg, rng, p.blocks);
-  const circuit::NetlistSoA soa(netlist, {.keepCells = false});
-  const sta::TimingResult r = sta::analyze(soa);
+  const sta::TimingResult r = sta::analyze(netlist);
   JsonValue data = JsonValue::object();
   data.set("node_nm", p.nodeNm);
   data.set("gates", netlist.gateCount());
   data.set("nodes", netlist.nodeCount());
   data.set("endpoints", static_cast<int>(netlist.outputs().size()));
-  data.set("levels", static_cast<int>(soa.levelCount()));
+  data.set("levels", netlist.levelCount());
   data.set("critical_path_delay_ps", r.criticalPathDelay / ps);
   data.set("critical_path_gates",
            static_cast<int>(r.criticalPath.size()));
@@ -298,7 +296,7 @@ JsonValue evalSta(const StaParams& p) {
   // than half the (critical-path) cycle.
   data.set("fraction_faster_than_half",
            sta::fractionOfPathsFasterThan(r, netlist, 0.5));
-  data.set("soa_bytes", static_cast<double>(soa.arenaBytes()));
+  data.set("soa_bytes", static_cast<double>(netlist.flatBytes()));
   return data;
 }
 

@@ -1,9 +1,9 @@
-// Bump-pointer arena allocator for the flat-array (SoA) storage layer.
-// One Arena owns a chain of geometrically grown blocks; allocation is a
-// pointer bump, and reset() rewinds to the start of the chain WITHOUT
-// returning memory to the system, so a steady-state consumer (rebuild a
-// netlist mirror, rerun an analysis) that stays within the high-water
-// mark performs zero heap allocations. growthCount() counts the malloc
+// Bump-pointer arena allocator for flat-array scratch storage (the STA
+// engine's sweep scratch). One Arena owns a chain of geometrically grown
+// blocks; allocation is a pointer bump, and reset() rewinds to the start
+// of the chain WITHOUT returning memory to the system, so a steady-state
+// consumer (rerun an analysis) that stays within the high-water mark
+// performs zero heap allocations. growthCount() counts the malloc
 // events over the arena's lifetime — the counter the scale smoke test
 // asserts stops moving once a workload reaches steady state.
 //

@@ -2,7 +2,7 @@
 // graphs — cycles, self-loops, out-of-range indices, malformed CSR shapes,
 // disconnected and zero-fanout nodes — must come back as structured error
 // results, never exceptions or UB. Runs under ASan/UBSan in CI.
-#include "circuit/levelize.h"
+#include "levelize.h"
 
 #include <gtest/gtest.h>
 

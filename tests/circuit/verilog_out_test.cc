@@ -21,10 +21,11 @@ std::string emit(const Netlist& nl) {
 }
 
 TEST(VerilogOut, ModuleHeaderAndPorts) {
-  Netlist nl;
-  const int a = nl.addInput();
-  const int g = nl.addGate(lib().pick(CellFunction::Inv, 1.0), {a});
-  nl.markOutput(g);
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
+  const int g = builder.addGate(lib().pick(CellFunction::Inv, 1.0), {a});
+  builder.markOutput(g);
+  const Netlist nl = builder.build();
   const std::string v = emit(nl);
   EXPECT_NE(v.find("module dut (in0, out0);"), std::string::npos);
   EXPECT_NE(v.find("input in0;"), std::string::npos);
@@ -33,11 +34,12 @@ TEST(VerilogOut, ModuleHeaderAndPorts) {
 }
 
 TEST(VerilogOut, InstancesNamedAfterCells) {
-  Netlist nl;
-  const int a = nl.addInput();
-  const int b = nl.addInput();
-  const int g = nl.addGate(lib().pick(CellFunction::Nand2, 2.0), {a, b});
-  nl.markOutput(g);
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
+  const int b = builder.addInput();
+  const int g = builder.addGate(lib().pick(CellFunction::Nand2, 2.0), {a, b});
+  builder.markOutput(g);
+  const Netlist nl = builder.build();
   const std::string v = emit(nl);
   const std::string prim = verilogCellName(nl.node(g).cell);
   EXPECT_NE(v.find(prim + " g2 (.y(n2), .a(in0), .b(in1));"),

@@ -1,8 +1,8 @@
-// Scale smoke: the million-gate acceptance run of the SoA timing core.
+// Scale smoke: the million-gate acceptance run of the flat timing core.
 // The 100k-gate variant runs in every CI tier; the full 1M-gate variant is
 // heavyweight and only runs when NANO_SCALE=1 (the nightly scale job sets
 // it). Both assert the three scale invariants:
-//   - generation + mirror + full STA complete under a wall-clock ceiling,
+//   - generation + full STA complete under a wall-clock ceiling,
 //   - a second analyze() performs zero heap growth (arena steady state),
 //   - results match the paper's slack-rich profile (over half of all
 //     endpoints use less than half the cycle).
@@ -14,7 +14,6 @@
 #include "circuit/generator.h"
 #include "circuit/library.h"
 #include "circuit/netlist.h"
-#include "circuit/netlist_soa.h"
 #include "obs/obs.h"
 #include "sta/sta.h"
 #include "tech/itrs.h"
@@ -38,14 +37,13 @@ void runScaleSmoke(int gates, double buildCeilingS, double staCeilingS) {
   const auto buildStart = Clock::now();
   const circuit::Netlist netlist = circuit::pipelinedLogic(
       library, circuit::scaledConfig(gates), rng, 8);
-  const circuit::NetlistSoA soa(netlist, {.keepCells = false});
   const double buildS = secondsSince(buildStart);
 
   ASSERT_GE(netlist.gateCount(), gates * 9 / 10);
   EXPECT_LT(buildS, buildCeilingS)
-      << "generation + SoA mirror too slow at " << gates << " gates";
+      << "generation too slow at " << gates << " gates";
 
-  sta::Sta engine(soa);
+  sta::Sta engine(netlist);
   const auto staStart = Clock::now();
   const sta::TimingResult& first = engine.analyze();
   const double staS = secondsSince(staStart);
@@ -77,7 +75,7 @@ void runScaleSmoke(int gates, double buildCeilingS, double staCeilingS) {
             static_cast<double>(engine.arenaBytes()));
   const double bytesPerGate =
       static_cast<double>(engine.arenaBytes()) / netlist.gateCount();
-  EXPECT_LT(bytesPerGate, 200.0) << "SoA footprint per gate regressed";
+  EXPECT_LT(bytesPerGate, 200.0) << "flat footprint per gate regressed";
   obs::setEnabled(obsWasEnabled);
 }
 

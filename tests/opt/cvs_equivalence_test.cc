@@ -4,6 +4,7 @@
 // bit: same per-gate assignment, same converters, same power and timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -72,7 +73,7 @@ void expectSameGates(const Netlist& a, const Netlist& b) {
   for (int i = 0; i < a.nodeCount(); ++i) {
     const auto& x = a.node(i);
     const auto& y = b.node(i);
-    if (x.kind != y.kind || x.fanins != y.fanins) {
+    if (x.kind != y.kind || !std::ranges::equal(x.fanins, y.fanins)) {
       ++bad;
     } else if (x.kind == Netlist::NodeKind::Gate &&
                (x.cell.function != y.cell.function ||
@@ -220,14 +221,15 @@ TEST(CvsEquivalenceFlow, SizeFirst) {
 }
 
 TEST(CvsPrecondition, RejectsVddViolation) {
-  Netlist nl;
-  const int a = nl.addInput();
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
   const auto low =
       lib().pick(CellFunction::Inv, 1.0, circuit::VthClass::Low, VddDomain::Low);
   const auto high = lib().pick(CellFunction::Inv, 1.0);
-  const int g1 = nl.addGate(low, {a});
-  const int g2 = nl.addGate(high, {g1});  // Vdd,l drives Vdd,h directly
-  nl.markOutput(g2);
+  const int g1 = builder.addGate(low, {a});
+  const int g2 = builder.addGate(high, {g1});  // Vdd,l drives Vdd,h directly
+  builder.markOutput(g2);
+  const Netlist nl = builder.build();
   try {
     (void)runCvs(nl, lib());
     FAIL() << "runCvs accepted a Vdd,l -> Vdd,h crossing";

@@ -28,14 +28,15 @@ struct Fixture {
 
 TEST(LevelConverter, InsertsOnCrossingsOnly) {
   Fixture f;
-  Netlist nl;
-  const int a = nl.addInput();
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
   const auto low =
       f.lib.pick(CellFunction::Inv, 1.0, circuit::VthClass::Low, VddDomain::Low);
   const auto high = f.lib.pick(CellFunction::Inv, 1.0);
-  const int g1 = nl.addGate(low, {a});
-  const int g2 = nl.addGate(high, {g1});  // crossing!
-  nl.markOutput(g2);
+  const int g1 = builder.addGate(low, {a});
+  const int g2 = builder.addGate(high, {g1});  // crossing!
+  builder.markOutput(g2);
+  const Netlist nl = builder.build();
   const ConversionReport rep = insertLevelConverters(nl, f.lib);
   EXPECT_EQ(rep.convertersAdded, 1);
   EXPECT_TRUE(rep.netlist.vddViolations().empty());
@@ -44,28 +45,30 @@ TEST(LevelConverter, InsertsOnCrossingsOnly) {
 
 TEST(LevelConverter, SharedAcrossSinks) {
   Fixture f;
-  Netlist nl;
-  const int a = nl.addInput();
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
   const auto low =
       f.lib.pick(CellFunction::Inv, 1.0, circuit::VthClass::Low, VddDomain::Low);
   const auto high = f.lib.pick(CellFunction::Inv, 1.0);
-  const int g1 = nl.addGate(low, {a});
-  const int g2 = nl.addGate(high, {g1});
-  const int g3 = nl.addGate(high, {g1});
-  nl.markOutput(g2);
-  nl.markOutput(g3);
+  const int g1 = builder.addGate(low, {a});
+  const int g2 = builder.addGate(high, {g1});
+  const int g3 = builder.addGate(high, {g1});
+  builder.markOutput(g2);
+  builder.markOutput(g3);
+  const Netlist nl = builder.build();
   const ConversionReport rep = insertLevelConverters(nl, f.lib);
   EXPECT_EQ(rep.convertersAdded, 1);  // one converter serves both sinks
 }
 
 TEST(LevelConverter, OutputBoundaryConversion) {
   Fixture f;
-  Netlist nl;
-  const int a = nl.addInput();
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
   const auto low =
       f.lib.pick(CellFunction::Inv, 1.0, circuit::VthClass::Low, VddDomain::Low);
-  const int g1 = nl.addGate(low, {a});
-  nl.markOutput(g1);
+  const int g1 = builder.addGate(low, {a});
+  builder.markOutput(g1);
+  const Netlist nl = builder.build();
   EXPECT_EQ(insertLevelConverters(nl, f.lib, true).convertersAdded, 1);
   EXPECT_EQ(insertLevelConverters(nl, f.lib, false).convertersAdded, 0);
 }

@@ -59,11 +59,12 @@ TEST(Propagate, InverterPreservesActivity) {
 TEST(Propagate, NandOutputLessActiveThanInputsAtHalf) {
   // p_out = 0.75: activity factor 2*0.75*0.25 = 0.375 < 0.5.
   Fixture f;
-  circuit::Netlist nl;
-  const int a = nl.addInput();
-  const int b = nl.addInput();
-  const int g = nl.addGate(f.lib.pick(CellFunction::Nand2, 1.0), {a, b});
-  nl.markOutput(g);
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
+  const int b = builder.addInput();
+  const int g = builder.addGate(f.lib.pick(CellFunction::Nand2, 1.0), {a, b});
+  builder.markOutput(g);
+  const circuit::Netlist nl = builder.build();
   const ActivityResult r = propagateActivity(nl, 0.5, 0.5);
   EXPECT_NEAR(r.activity[static_cast<std::size_t>(g)], 0.375, 1e-12);
 }

@@ -47,15 +47,16 @@ TEST(PowerModel, LinearInFrequency) {
 
 TEST(PowerModel, LevelConvertersBucketedSeparately) {
   Fixture f;
-  circuit::Netlist nl;
-  const int a = nl.addInput();
+  circuit::NetlistBuilder builder;
+  const int a = builder.addInput();
   const auto low =
       f.lib.pick(CellFunction::Inv, 1.0, VthClass::Low, VddDomain::Low);
   const auto lc = f.lib.pick(CellFunction::LevelConverter, 1.0, VthClass::Low,
                              VddDomain::High);
-  const int g = nl.addGate(low, {a});
-  const int c = nl.addGate(lc, {g});
-  nl.markOutput(c);
+  const int g = builder.addGate(low, {a});
+  const int c = builder.addGate(lc, {g});
+  builder.markOutput(c);
+  const circuit::Netlist nl = builder.build();
   const PowerBreakdown p = computePower(nl, 1 * GHz);
   EXPECT_GT(p.levelConverter, 0.0);
   EXPECT_GT(p.dynamic, 0.0);
@@ -65,12 +66,13 @@ TEST(PowerModel, LevelConvertersBucketedSeparately) {
 TEST(PowerModel, LowVddGatesBurnLess) {
   Fixture f;
   auto build = [&](VddDomain dom) {
-    circuit::Netlist nl;
-    const int a = nl.addInput();
+    circuit::NetlistBuilder builder;
+    const int a = builder.addInput();
     const auto inv = f.lib.pick(CellFunction::Inv, 1.0, VthClass::Low, dom);
     int prev = a;
-    for (int i = 0; i < 4; ++i) prev = nl.addGate(inv, {prev});
-    nl.markOutput(prev);
+    for (int i = 0; i < 4; ++i) prev = builder.addGate(inv, {prev});
+    builder.markOutput(prev);
+    const circuit::Netlist nl = builder.build();
     return computePower(nl, 1 * GHz);
   };
   const PowerBreakdown hi = build(VddDomain::High);
@@ -83,12 +85,13 @@ TEST(PowerModel, LowVddGatesBurnLess) {
 TEST(PowerModel, HighVthCutsLeakageOnly) {
   Fixture f;
   auto build = [&](VthClass vth) {
-    circuit::Netlist nl;
-    const int a = nl.addInput();
+    circuit::NetlistBuilder builder;
+    const int a = builder.addInput();
     const auto inv = f.lib.pick(CellFunction::Inv, 1.0, vth, VddDomain::High);
     int prev = a;
-    for (int i = 0; i < 4; ++i) prev = nl.addGate(inv, {prev});
-    nl.markOutput(prev);
+    for (int i = 0; i < 4; ++i) prev = builder.addGate(inv, {prev});
+    builder.markOutput(prev);
+    const circuit::Netlist nl = builder.build();
     return computePower(nl, 1 * GHz);
   };
   const PowerBreakdown lvt = build(VthClass::Low);

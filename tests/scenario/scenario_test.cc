@@ -220,6 +220,32 @@ TEST(Scenario, FailFastStopsAtFirstViolation) {
   EXPECT_EQ(r.violations.front().kind, CheckKind::Temperature);
 }
 
+// The sensor gauges are set once per run, to the last integrated step's
+// state: the final trace row when every step is traced, also when a
+// fail-fast run stops early.
+TEST(Scenario, GaugesHoldTheLastIntegratedStep) {
+  const ObsScope scope;
+  auto gauge = [](const char* name) {
+    return obs::MetricsRegistry::instance().gauge(name).value();
+  };
+  for (const bool failFast : {false, true}) {
+    ScenarioSetup setup = makeScenario(smallSpec("dtm"));
+    setup.config.traceStride = 1;
+    if (failFast) {
+      setup.config.limits.maxTemperatureK =
+          setup.plant->node().tAmbient + 0.5;  // unreachable budget
+      setup.config.failFast = true;
+    }
+    const ScenarioResult r =
+        runScenario(*setup.plant, *setup.policy, setup.config);
+    ASSERT_EQ(static_cast<long>(r.trace.size()), r.steps);
+    const StepRecord& last = r.trace.back();
+    EXPECT_EQ(gauge("scenario/temperature_k"), last.temperatureK);
+    EXPECT_EQ(gauge("scenario/ir_drop_fraction"), last.irDropFraction);
+    EXPECT_EQ(gauge("scenario/slack_ps"), last.slackS * 1e12);
+  }
+}
+
 TEST(Scenario, ViolationRecordingIsCapped) {
   ScenarioSetup setup = makeScenario(smallSpec("dtm"));
   setup.config.limits.maxTemperatureK = setup.plant->node().tAmbient + 0.5;

@@ -54,16 +54,18 @@ Netlist makeNetlist(int gates, unsigned seed, bool preconverted = false) {
   circuit::GeneratorConfig cfg;
   cfg.gates = gates;
   cfg.outputs = gates / 16;
-  Netlist nl = circuit::pipelinedLogic(lib(), cfg, rng, 4);
+  const Netlist generated = circuit::pipelinedLogic(lib(), cfg, rng, 4);
+  circuit::NetlistBuilder builder(generated);
   int marked = 0;
-  for (int g : nl.gateIds()) {
-    const auto& n = nl.node(g);
+  for (int g : generated.gateIds()) {
+    const auto& n = generated.node(g);
     if (!n.isOutput && !n.fanouts.empty() && rng.bernoulli(0.05)) {
-      nl.markOutput(g);
+      builder.markOutput(g);
       ++marked;
     }
   }
   EXPECT_GT(marked, 0);
+  Netlist nl = builder.build();
   if (!preconverted) return nl;
   bool lower = true;
   for (int out : nl.outputs()) {

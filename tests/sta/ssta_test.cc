@@ -42,15 +42,16 @@ TEST(Ssta, ClarkMaxRaisesMeanAboveBothInputs) {
   // Two equal-delay parallel branches converging: the statistical arrival
   // mean exceeds the deterministic max (the known MAX-of-Gaussians bias).
   const Library& l = lib();
-  Netlist nl(0.0, 0.0);
-  const int in = nl.addInput();
+  circuit::NetlistBuilder builder(0.0, 0.0);
+  const int in = builder.addInput();
   const auto inv = l.pick(circuit::CellFunction::Inv, 1.0);
   const auto nand = l.pick(circuit::CellFunction::Nand2, 1.0);
   int brA = in, brB = in;
-  for (int i = 0; i < 6; ++i) brA = nl.addGate(inv, {brA});
-  for (int i = 0; i < 6; ++i) brB = nl.addGate(inv, {brB});
-  const int join = nl.addGate(nand, {brA, brB});
-  nl.markOutput(join);
+  for (int i = 0; i < 6; ++i) brA = builder.addGate(inv, {brA});
+  for (int i = 0; i < 6; ++i) brB = builder.addGate(inv, {brB});
+  const int join = builder.addGate(nand, {brA, brB});
+  builder.markOutput(join);
+  const Netlist nl = builder.build();
   const StatTiming st = analyzeStatistical(nl, node70());
   const TimingResult det = analyze(nl);
   EXPECT_GT(st.criticalMean, det.criticalPathDelay * 1.0001);

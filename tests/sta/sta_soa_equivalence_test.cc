@@ -1,8 +1,8 @@
-// Equivalence and determinism tests for the flat SoA timing engines.
+// Equivalence and determinism tests for the flat timing engines.
 // `referenceAnalyze` below is a verbatim copy of the historical
 // object-walking sta::analyze (sequential forward sweep over node ids,
 // scatter-min backward sweep) — the refactor's acceptance bar is that the
-// level-parallel SoA engine reproduces it to the last bit, at any exec
+// level-parallel engine reproduces it to the last bit, at any exec
 // lane count, and that IncrementalSta's state stays bit-identical to a
 // fresh full analysis through randomized trial/commit/rollback scripts.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "circuit/generator.h"
 #include "circuit/library.h"
 #include "circuit/netlist.h"
-#include "circuit/netlist_soa.h"
 #include "exec/exec.h"
 #include "sta/incremental.h"
 #include "sta/sta.h"
@@ -27,7 +26,6 @@ namespace {
 
 using circuit::Library;
 using circuit::Netlist;
-using circuit::NetlistSoA;
 
 const Library& lib() {
   static const Library instance(tech::nodeByFeature(35));
@@ -140,12 +138,10 @@ class SoaEquivalenceTest : public ::testing::TestWithParam<int> {};
 TEST_P(SoaEquivalenceTest, FullAnalysisMatchesReferenceBitForBit) {
   const Netlist nl = makeNetlist(GetParam(), 0xABCDu + GetParam());
   const TimingResult ref = referenceAnalyze(nl, -1.0);
-  // Object-API wrapper, one-shot SoA overload and the reusable engine all
-  // agree with the reference to the last bit.
+  // The one-shot analyze and the reusable engine both agree with the
+  // reference to the last bit.
   expectResultsBitEqual(analyze(nl), ref);
-  const NetlistSoA soa(nl, {.keepCells = false});
-  expectResultsBitEqual(analyze(soa), ref);
-  Sta engine(soa);
+  Sta engine(nl);
   expectResultsBitEqual(engine.analyze(), ref);
   // And with an explicit (tighter) clock.
   const double clock = 0.9 * ref.clockPeriod;
@@ -154,14 +150,13 @@ TEST_P(SoaEquivalenceTest, FullAnalysisMatchesReferenceBitForBit) {
 
 TEST_P(SoaEquivalenceTest, LaneCountDoesNotChangeAnyBit) {
   const Netlist nl = makeNetlist(GetParam(), 0x51AEu + GetParam());
-  const NetlistSoA soa(nl, {.keepCells = false});
   const int before = exec::threadCount();
   exec::setGlobalThreadCount(1);
-  const TimingResult lanes1 = analyze(soa);
+  const TimingResult lanes1 = analyze(nl);
   exec::setGlobalThreadCount(2);
-  const TimingResult lanes2 = analyze(soa);
+  const TimingResult lanes2 = analyze(nl);
   exec::setGlobalThreadCount(8);
-  const TimingResult lanes8 = analyze(soa);
+  const TimingResult lanes8 = analyze(nl);
   exec::setGlobalThreadCount(before);
   expectResultsBitEqual(lanes2, lanes1);
   expectResultsBitEqual(lanes8, lanes1);
@@ -173,8 +168,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SoaEquivalenceTest,
 
 TEST(SoaEquivalenceTest, SteadyStateReanalysisAllocatesNothing) {
   const Netlist nl = makeNetlist(20000, 77);
-  const NetlistSoA soa(nl, {.keepCells = false});
-  Sta engine(soa);
+  Sta engine(nl);
   (void)engine.analyze();
   const std::int64_t growth = engine.arenaGrowthCount();
   for (int i = 0; i < 10; ++i) (void)engine.analyze();
@@ -182,17 +176,17 @@ TEST(SoaEquivalenceTest, SteadyStateReanalysisAllocatesNothing) {
   EXPECT_GT(engine.arenaBytes(), 0u);
 }
 
-// An engine bound to a mirror that is later rebuilt in place from a much
-// bigger netlist must grow its scratch, not sweep past it, and must match
-// a fresh analysis to the last bit; shrinking back reuses the capacity.
+// An engine bound to a netlist that is later assigned a much bigger one
+// must grow its scratch, not sweep past it, and must match a fresh
+// analysis to the last bit; shrinking back reuses the capacity.
 TEST(StaEngine, ReanalyzeAfterRebuildToLargerNetlist) {
   const Netlist small = makeNetlist(100, 4);
   const Netlist large = makeNetlist(100000, 5);
-  NetlistSoA soa(small, {.keepCells = false});
-  Sta engine(soa);
+  Netlist bound = small;
+  Sta engine(bound);
   expectResultsBitEqual(engine.analyze(), referenceAnalyze(small, -1.0));
 
-  soa.rebuild(large, {.keepCells = false});
+  bound = large;
   const TimingResult& grown = engine.analyze();
   expectResultsBitEqual(grown, analyze(large));
   expectResultsBitEqual(grown, referenceAnalyze(large, -1.0));
@@ -201,15 +195,14 @@ TEST(StaEngine, ReanalyzeAfterRebuildToLargerNetlist) {
   for (int i = 0; i < 3; ++i) (void)engine.analyze();
   EXPECT_EQ(engine.arenaGrowthCount(), growth);
 
-  soa.rebuild(small, {.keepCells = false});
+  bound = small;
   expectResultsBitEqual(engine.analyze(), referenceAnalyze(small, -1.0));
   EXPECT_EQ(engine.arenaGrowthCount(), growth);
 }
 
 TEST(StaEngine, TakeResultMovesTheLastAnalysisOut) {
   const Netlist nl = makeNetlist(2000, 6);
-  const NetlistSoA soa(nl, {.keepCells = false});
-  Sta engine(soa);
+  Sta engine(nl);
   const TimingResult copy = engine.analyze();
   const double* arrival = engine.result().arrival.data();
   const TimingResult taken = engine.takeResult();
@@ -221,7 +214,7 @@ TEST(StaEngine, TakeResultMovesTheLastAnalysisOut) {
 }
 
 // Randomized swap scripts: after every trial/commit/rollback the
-// incremental state must match a fresh full analysis (reference AND SoA
+// incremental state must match a fresh full analysis (reference AND flat
 // engines) to the last bit.
 TEST(IncrementalEquivalenceTest, RandomSwapScriptStaysBitIdentical) {
   Netlist work = makeNetlist(1500, 123);

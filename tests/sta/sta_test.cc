@@ -128,11 +128,13 @@ TEST(Sta, EndpointArrivalsMatchAnalyze) {
 TEST(Sta, BiggerLoadSlowsPath) {
   // Same chain, heavier per-fanout wire: longer critical path.
   const Netlist light = circuit::inverterChain(lib(), 5);
-  Netlist heavy(10.0 * light.wireCapPerFanout(), light.outputLoadCap());
-  int prev = heavy.addInput();
+  circuit::NetlistBuilder builder(10.0 * light.wireCapPerFanout(),
+                                  light.outputLoadCap());
+  int prev = builder.addInput();
   const circuit::Cell inv = lib().pick(CellFunction::Inv, 1.0);
-  for (int i = 0; i < 5; ++i) prev = heavy.addGate(inv, {prev});
-  heavy.markOutput(prev);
+  for (int i = 0; i < 5; ++i) prev = builder.addGate(inv, {prev});
+  builder.markOutput(prev);
+  const Netlist heavy = builder.build();
   EXPECT_GT(analyze(heavy).criticalPathDelay,
             analyze(light).criticalPathDelay);
 }
